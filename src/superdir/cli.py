@@ -25,6 +25,7 @@ from .coupling import (
     ElementFieldLibrary,
     build_coefficient_set,
     coupling_fixture,
+    default_truncation,
     estimate_coupling,
     isolated_fields_synthetic,
     synthesize_coupled_fields,
@@ -339,9 +340,7 @@ def _cmd_coupling_estimate(args) -> int:
             raise UsageError(
                 "one of --truncation, --radius, --spacing or --spacing-m is required"
             )
-        spacing = _resolve_spacing(args)
-        radius = (library.element_count - 1) * spacing / 2.0 + 0.25
-        trunc = truncation_degree(radius)
+        trunc = default_truncation(ArrayGeometry(library.element_count, _resolve_spacing(args)))
     else:
         trunc = _resolve_truncation(args)
     qs = build_coefficient_set(library.isolated, trunc)
@@ -361,11 +360,7 @@ def _cmd_coupling_synth(args) -> int:
     geometry = ArrayGeometry(args.antennas, _resolve_spacing(args))
     pattern = ElementPattern.from_kind(args.pattern)
     fixture = coupling_fixture(geometry.element_count, args.gamma, args.beta)
-    if args.truncation is not None:
-        trunc = args.truncation
-    else:
-        radius = geometry.length / 2.0 + 0.25
-        trunc = truncation_degree(radius)
+    trunc = args.truncation if args.truncation is not None else default_truncation(geometry)
     grid = default_fit_grid(trunc)
     isolated = isolated_fields_synthetic(geometry, pattern, grid)
     active = synthesize_coupled_fields(isolated, fixture)

@@ -23,18 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arraymodel import WAVE_NUMBER, ArrayGeometry, ElementPattern, evaluate_array_pattern
-from .errors import (
-    ConditioningError,
-    DegenerateGeometryError,
-    DimensionError,
-    DomainError,
-    InsufficientSamplingError,
-)
+from .errors import DegenerateGeometryError, DimensionError, DomainError
 from .swe import (
     FieldSampleSet,
-    basis_matrix,
     default_fit_grid,
-    mode_count,
+    solve_wave_coefficients,
     truncation_degree,
 )
 
@@ -171,26 +164,12 @@ def build_coefficient_set(fields: list, truncation: int) -> np.ndarray:
     """Spherical mode coefficients of several fields on one shared grid.
 
     Returns a (2N(N+2), M) matrix whose column m expands fields[m]; the grid
-    is validated once and the basis factorized once for all columns, with the
-    same rank and cutoff rules as fit_wave_coefficients.
+    is validated once and all columns are solved together by
+    solve_wave_coefficients, under the rules of fit_wave_coefficients.
     """
     _require_shared_grid(fields)
-    modes = mode_count(truncation)
-    n_rows = 2 * fields[0].point_count
-    if n_rows < modes:
-        raise InsufficientSamplingError(
-            f"{fields[0].point_count} directions give {n_rows} equations for {modes} modes"
-        )
-    basis = basis_matrix(fields[0].directions, truncation)
     rhs = np.stack([f.values for f in fields], axis=1)
-    rcond = max(n_rows, modes) * np.finfo(float).eps
-    coeffs, _, rank, _ = np.linalg.lstsq(basis, rhs, rcond=rcond)
-    if rank < modes:
-        raise ConditioningError(
-            f"sampling grid supports only rank {rank} of {modes} modes",
-            effective_rank=int(rank),
-        )
-    return coeffs
+    return solve_wave_coefficients(fields[0].directions, rhs, truncation)[0]
 
 
 def estimate_coupling(isolated_coeffs: np.ndarray, active_coeffs: np.ndarray) -> CouplingMatrix:
@@ -250,9 +229,8 @@ def estimate_fixture_coupling(
     isolated = isolated_fields_synthetic(geometry, pattern, grid)
     fixture = coupling_fixture(geometry.element_count, gamma, beta)
     active = synthesize_coupled_fields(isolated, fixture)
-    return estimate_coupling(
-        build_coefficient_set(isolated, trunc), build_coefficient_set(active, trunc)
-    )
+    coeffs = build_coefficient_set(isolated + active, trunc)  # one shared grid, one solve
+    return estimate_coupling(coeffs[:, : len(isolated)], coeffs[:, len(isolated) :])
 
 
 def active_element_pattern(

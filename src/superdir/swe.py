@@ -18,6 +18,13 @@ all modes equals the radiated power in the same normalization.
 Angular factors are evaluated through stable three-term recurrences on the
 pole-regular ratio Pbar/sin(theta), so the m = +-1 limits at theta in
 {0, pi} come out exactly and every other order vanishes there, as required.
+
+Least-squares fits on theta-major equiangular grids (each theta row sampled
+at phi_l = 2 pi l / C with C >= 2N+1, such as default_fit_grid) are solved
+one azimuthal order at a time after a DFT over phi (Hansen, Spherical
+Near-Field Antenna Measurements, 1988, ch. 4); samples on any other set of
+directions solve the dense basis. Both paths share the sampling, cutoff and
+rank rules.
 """
 
 from __future__ import annotations
@@ -104,7 +111,8 @@ class FieldSampleSet:
             raise DomainError("theta must lie in [0, pi]")
         if vals.size != 2 * dirs.shape[0]:
             raise DimensionError("values must interleave 2 components per direction")
-        if np.unique(dirs, axis=0).shape[0] != dirs.shape[0]:
+        ordered = dirs[np.lexsort((dirs[:, 1], dirs[:, 0]))]
+        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
             raise DomainError("directions contain duplicates")
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "values", vals)
@@ -210,6 +218,42 @@ def _check_directions(directions):
     return dirs
 
 
+def _mode_factors(n, m, ratio, tau):
+    """Theta parts of K_1mn and K_2mn, the e^{jm phi} factor left out.
+
+    Returns (TE theta, TE phi, TM theta, TM phi) over the theta samples of
+    the (ratio, tau) tables; every mode value in this module comes from here.
+    """
+    scale = np.sqrt(2.0 / (n * (n + 1.0)))
+    sign = (-1.0) ** m if m > 0 else 1.0
+    te = (-1j) ** (n + 1) * scale * sign
+    tm = (-1j) ** n * scale * sign
+    pi_m = 1j * m * ratio[n, abs(m)]
+    tau_m = tau[n, abs(m)]
+    return te * pi_m, -te * tau_m, tm * tau_m, tm * pi_m
+
+
+def _order_block(m, truncation, ratio, tau):
+    """Theta-only basis of azimuthal order m and its flattened column indices.
+
+    Rows interleave the theta and phi components per theta sample, as in
+    basis_matrix; columns hold (TE, TM) for n = max(1, |m|)..N.
+    """
+    degrees = range(max(1, abs(m)), truncation + 1)
+    # stored mode-major so basis_matrix copies whole contiguous rows
+    block = np.empty((2 * len(degrees), 2 * ratio.shape[2]), dtype=complex)
+    columns = []
+    for k, n in enumerate(degrees):
+        te_th, te_ph, tm_th, tm_ph = _mode_factors(n, m, ratio, tau)
+        block[2 * k, 0::2] = te_th
+        block[2 * k, 1::2] = te_ph
+        block[2 * k + 1, 0::2] = tm_th
+        block[2 * k + 1, 1::2] = tm_ph
+        first = 2 * (n * n - 1) + 2 * (m + n)  # (s=1, m, n) in index_list order
+        columns.extend((first, first + 1))
+    return block.T, columns
+
+
 def basis_matrix(directions, truncation: int) -> np.ndarray:
     """Far-field basis sampled on the given directions.
 
@@ -218,31 +262,13 @@ def basis_matrix(directions, truncation: int) -> np.ndarray:
     shape is (2P, 2N(N+2)).
     """
     dirs = _check_directions(directions)
-    theta = dirs[:, 0]
-    phi = dirs[:, 1]
     trunc = int(truncation)
-    cols = mode_count(trunc)
-    ratio, tau = _angular_tables(trunc, theta)
-    out = np.empty((2 * dirs.shape[0], cols), dtype=complex)
-    col = 0
-    for n in range(1, trunc + 1):
-        scale = np.sqrt(2.0 / (n * (n + 1.0)))
-        phase_te = (-1j) ** (n + 1)
-        phase_tm = (-1j) ** n
-        for m in range(-n, n + 1):
-            sign = (-1.0) ** m if m > 0 else 1.0
-            common = (scale * sign) * np.exp(1j * m * phi)
-            pi_m = m * ratio[n, abs(m)]
-            tau_m = tau[n, abs(m)]
-            te = phase_te * common
-            out[0::2, col] = te * (1j * pi_m)
-            out[1::2, col] = te * (-tau_m)
-            col += 1
-            tm = phase_tm * common
-            out[0::2, col] = tm * tau_m
-            out[1::2, col] = tm * (1j * pi_m)
-            col += 1
-    return out
+    ratio, tau = _angular_tables(trunc, dirs[:, 0])
+    out = np.empty((mode_count(trunc), 2 * dirs.shape[0]), dtype=complex)  # mode-major
+    for m in range(-trunc, trunc + 1):
+        block, columns = _order_block(m, trunc, ratio, tau)
+        out[columns] = block.T * np.repeat(np.exp(1j * m * dirs[:, 1]), 2)
+    return out.T
 
 
 def eval_spherical_wave_function(index: SweIndex, theta, phi):
@@ -251,27 +277,15 @@ def eval_spherical_wave_function(index: SweIndex, theta, phi):
     Pole directions evaluate to the analytic limits: finite for |m| = 1 and
     zero for every other order.
     """
-    theta_arr = np.asarray(theta, dtype=float)
-    phi_arr = np.asarray(phi, dtype=float)
-    theta_b, phi_b = np.broadcast_arrays(theta_arr, phi_arr)
+    theta_b, phi_b = np.broadcast_arrays(
+        np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    )
     if np.any(theta_b < 0.0) or np.any(theta_b > np.pi):
         raise DomainError("theta must lie in [0, pi]")
-    flat_dirs = np.column_stack((theta_b.ravel(), phi_b.ravel()))
-    n, m = index.n, index.m
-    ratio, tau = _angular_tables(n, flat_dirs[:, 0])
-    scale = np.sqrt(2.0 / (n * (n + 1.0)))
-    sign = (-1.0) ** m if m > 0 else 1.0
-    common = (scale * sign) * np.exp(1j * m * flat_dirs[:, 1])
-    pi_m = m * ratio[n, abs(m)]
-    tau_m = tau[n, abs(m)]
-    if index.s == 1:
-        k_th = (-1j) ** (n + 1) * common * (1j * pi_m)
-        k_ph = (-1j) ** (n + 1) * common * (-tau_m)
-    else:
-        k_th = (-1j) ** n * common * tau_m
-        k_ph = (-1j) ** n * common * (1j * pi_m)
-    k_th = k_th.reshape(theta_b.shape)
-    k_ph = k_ph.reshape(theta_b.shape)
+    ratio, tau = _angular_tables(index.n, theta_b.ravel())
+    factors = _mode_factors(index.n, index.m, ratio, tau)[2 * index.s - 2 : 2 * index.s]
+    phase = np.exp(1j * index.m * phi_b.ravel())
+    k_th, k_ph = ((f * phase).reshape(theta_b.shape) for f in factors)
     if k_th.ndim == 0:
         return complex(k_th), complex(k_ph)
     return k_th, k_ph
@@ -294,39 +308,129 @@ def default_fit_grid(truncation: int) -> np.ndarray:
     return np.column_stack((th.ravel(), ph.ravel()))
 
 
+# Phi samples read back from 17-digit degree CSVs land within ~1e-15 rad of
+# 2 pi l / C; anything further off is a different grid.
+_GRID_TOLERANCE = 1e-12
+
+
+def _equiangular_rows(directions, truncation):
+    """(theta of each row, C) for a theta-major equiangular grid, else None.
+
+    Qualifying grids run C consecutive directions per theta row at
+    phi_l = 2 pi l / C with C >= 2N+1, so a DFT over phi puts every order
+    |m| <= N in its own bin.
+    """
+    theta, phi = directions[:, 0], directions[:, 1]
+    new_row = np.flatnonzero(np.abs(theta - theta[0]) > _GRID_TOLERANCE)
+    columns = int(new_row[0]) if new_row.size else theta.size
+    if columns < 2 * truncation + 1 or theta.size % columns:
+        return None
+    theta = theta.reshape(-1, columns)
+    ring = 2.0 * np.pi * np.arange(columns) / columns
+    if np.any(np.abs(theta - theta[:, :1]) > _GRID_TOLERANCE) or np.any(
+        np.abs(phi.reshape(-1, columns) - ring) > _GRID_TOLERANCE
+    ):
+        return None
+    return theta[:, 0], columns
+
+
+def _require_rank(rank, modes):
+    if rank < modes:
+        raise ConditioningError(
+            f"sampling grid supports only rank {rank} of {modes} modes",
+            effective_rank=int(rank),
+        )
+
+
+def _fit_by_order(theta_rows, columns, values, truncation, rcond):
+    """Order-split least squares on an equiangular grid.
+
+    The forward-normalized DFT over phi leaves in bin m mod C the theta
+    profile of order m, so the dense problem splits into one theta-only block
+    per m. The dense basis has singular values sqrt(C) * sigma(block), so the
+    dense cutoff rcond * sigma_max becomes rcond times the largest block
+    singular value. Returns the coefficients and the absolute misfit per
+    column.
+    """
+    rows, fields = theta_rows.size, values.shape[1]
+    spectrum = np.fft.fft(values.reshape(rows, columns, 2, fields), axis=1, norm="forward")
+    ratio, tau = _angular_tables(truncation, theta_rows)
+    orders = range(-truncation, truncation + 1)
+    blocks = [_order_block(m, truncation, ratio, tau) for m in orders]
+    factors = [np.linalg.svd(block, full_matrices=False) for block, _ in blocks]
+    cutoff = rcond * max(s[0] for _, s, _ in factors)
+    _require_rank(
+        sum(int(np.count_nonzero(s > cutoff)) for _, s, _ in factors), mode_count(truncation)
+    )
+    coeffs = np.empty((mode_count(truncation), fields), dtype=complex)
+    for m, (block, cols), (u, s, vh) in zip(orders, blocks, factors):
+        profile = spectrum[:, m % columns]  # view: the misfit is left behind in place
+        q = vh.conj().T @ ((u.conj().T @ profile.reshape(2 * rows, fields)) / s[:, None])
+        coeffs[cols] = q
+        profile -= (block @ q).reshape(rows, 2, fields)
+    misfit = np.sqrt(columns) * np.linalg.norm(spectrum.reshape(-1, fields), axis=0)
+    return coeffs, misfit
+
+
+def solve_wave_coefficients(directions, values, truncation: int):
+    """Least-squares mode coefficients of fields sampled on shared directions.
+
+    ``values`` is (2P, K) in the interleaved sample layout, one field per
+    column. Singular values below max(2P, 2N(N+2)) * eps * sigma_max are
+    treated as zero, and a fit whose effective rank falls below the mode
+    count raises ConditioningError rather than silently truncating.
+
+    Theta-major equiangular grids (C directions per theta row at
+    phi_l = 2 pi l / C, C >= 2N+1) are solved one azimuthal order at a time;
+    every other grid solves the dense (2P x 2N(N+2)) basis.
+
+    Returns
+    -------
+    (coefficients, residuals)
+        The (2N(N+2), K) coefficients and the relative fit residual of each
+        column.
+    """
+    dirs = _check_directions(directions)
+    rhs = np.asarray(values, dtype=complex).reshape(2 * dirs.shape[0], -1)
+    trunc = int(truncation)
+    modes = mode_count(trunc)
+    n_rows = rhs.shape[0]
+    if n_rows < modes:
+        raise InsufficientSamplingError(
+            f"{dirs.shape[0]} directions give {n_rows} equations for {modes} modes"
+        )
+    rcond = max(n_rows, modes) * np.finfo(float).eps
+    grid = _equiangular_rows(dirs, trunc)
+    if grid is not None:
+        coeffs, misfit = _fit_by_order(*grid, rhs, trunc, rcond)
+    else:
+        basis = basis_matrix(dirs, trunc)
+        coeffs, squares, rank, _ = np.linalg.lstsq(basis, rhs, rcond=rcond)
+        _require_rank(rank, modes)
+        if squares.size:
+            misfit = np.sqrt(squares)
+        else:  # square system: LAPACK reports no residual
+            misfit = np.linalg.norm(basis @ coeffs - rhs, axis=0)
+    norms = np.linalg.norm(rhs, axis=0)
+    residuals = np.divide(misfit, norms, out=np.zeros_like(misfit), where=norms > 0.0)
+    return coeffs, residuals
+
+
 def fit_wave_coefficients(samples: FieldSampleSet, truncation: int) -> WaveCoefficientSet:
     """Least-squares spherical mode coefficients of a sampled field.
 
-    Solves min ||K q - values|| over the 2N(N+2) modes. Singular values
-    below max(2P, 2N(N+2)) * eps * sigma_max are treated as zero; a fit whose
-    effective rank falls below the mode count raises ConditioningError rather
-    than silently truncating.
+    Solves min ||K q - values|| over the 2N(N+2) modes with the rules of
+    solve_wave_coefficients.
 
     Returns
     -------
     WaveCoefficientSet
         Coefficients with the relative fit residual attached.
     """
-    modes = mode_count(truncation)
-    n_rows = 2 * samples.point_count
-    if n_rows < modes:
-        raise InsufficientSamplingError(
-            f"{samples.point_count} directions give {n_rows} equations for {modes} modes"
-        )
-    basis = basis_matrix(samples.directions, truncation)
-    rcond = max(n_rows, modes) * np.finfo(float).eps
-    coeffs, _, rank, _ = np.linalg.lstsq(basis, samples.values, rcond=rcond)
-    if rank < modes:
-        raise ConditioningError(
-            f"sampling grid supports only rank {rank} of {modes} modes",
-            effective_rank=int(rank),
-        )
-    norm = float(np.linalg.norm(samples.values))
-    if norm > 0.0:
-        residual = float(np.linalg.norm(basis @ coeffs - samples.values)) / norm
-    else:
-        residual = 0.0
-    return WaveCoefficientSet(coefficients=coeffs, truncation=int(truncation), residual=residual)
+    coeffs, residuals = solve_wave_coefficients(samples.directions, samples.values, truncation)
+    return WaveCoefficientSet(
+        coefficients=coeffs[:, 0], truncation=int(truncation), residual=residuals[0]
+    )
 
 
 def reconstruct_field(coefficients: WaveCoefficientSet, directions) -> FieldSampleSet:

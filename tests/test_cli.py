@@ -345,3 +345,26 @@ def test_estimate_can_take_the_spacing_instead_of_a_truncation(tmp_path, capsys)
     assert "N = 13" in capsys.readouterr().err  # radius 0.35 -> ceil(2 pi 0.35) + 10
     found = read_coupling(tmp_path / "c.csv")
     np.testing.assert_allclose(found.values, coupling_fixture(2, 0.25, 0.8).values, atol=1e-8)
+
+
+def test_synth_then_estimate_fits_the_read_back_grid_by_order(tmp_path, capsys, monkeypatch):
+    from superdir import swe
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense basis built for an equiangular field file")
+
+    workdir = tmp_path / "testbed"
+    synth = ["coupling", "synth", "--antennas", "3", "--spacing", "0.15",
+             "--pattern", "half-wave-dipole", "--gamma", "0.3", "--beta", "1.1",
+             "--output-dir", str(workdir)]
+    assert main(synth) == 0
+    assert "N = 13" in capsys.readouterr().err  # radius 0.4 -> ceil(2 pi 0.4) + 10
+    monkeypatch.setattr(swe, "basis_matrix", refuse)
+    estimate = ["coupling", "estimate",
+                "--isolated", *(str(workdir / f"isolated_{i}.csv") for i in (1, 2, 3)),
+                "--active", *(str(workdir / f"active_{i}.csv") for i in (1, 2, 3)),
+                "--spacing", "0.15", "--output", str(tmp_path / "c.csv")]
+    assert main(estimate) == 0
+    assert "N = 13" in capsys.readouterr().err
+    found = read_coupling(tmp_path / "c.csv")
+    np.testing.assert_allclose(found.values, coupling_fixture(3, 0.3, 1.1).values, atol=1e-8)

@@ -26,7 +26,8 @@ from superdir import (
     total_power,
     truncation_degree,
 )
-from superdir.swe import _angular_tables
+from superdir import swe
+from superdir.swe import _angular_tables, solve_wave_coefficients
 
 
 def _random_coefficients(rng, truncation):
@@ -324,3 +325,107 @@ def test_default_fit_grid_excludes_poles_and_oversamples():
         assert grid.shape == ((2 * truncation + 2) * (4 * truncation + 4), 2)
         assert np.all(grid[:, 0] > 0.0) and np.all(grid[:, 0] < np.pi)
         assert 2 * grid.shape[0] >= 4 * mode_count(truncation)
+
+
+# ---- order-split path on equiangular grids --------------------------------------
+
+
+def _product_grid(theta, phi):
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    return np.column_stack((th.ravel(), ph.ravel()))
+
+
+def _noisy_fields(rng, grid, truncation, count=2):
+    modes = mode_count(truncation)
+    coefficients = rng.standard_normal((modes, count)) + 1j * rng.standard_normal((modes, count))
+    values = basis_matrix(grid, truncation) @ coefficients
+    noise = rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
+    return values + 1e-3 * noise
+
+
+def _shuffled(rng, grid, values):
+    """The same samples in a random order, which no equiangular layout matches."""
+    order = rng.permutation(grid.shape[0])
+    return grid[order], values.reshape(grid.shape[0], 2, -1)[order].reshape(values.shape)
+
+
+def _count_dense_builds(monkeypatch):
+    calls = []
+    dense = swe.basis_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dense(*args, **kwargs)
+
+    monkeypatch.setattr(swe, "basis_matrix", counting)
+    return calls
+
+
+@pytest.mark.parametrize("truncation", [1, 4, 9])
+def test_order_split_fit_matches_the_dense_fit(truncation, monkeypatch):
+    rng = np.random.default_rng(60 + truncation)
+    grid = default_fit_grid(truncation)
+    values = _noisy_fields(rng, grid, truncation)
+    shuffled_grid, shuffled_values = _shuffled(rng, grid, values)
+    calls = _count_dense_builds(monkeypatch)
+    dense, dense_res = solve_wave_coefficients(shuffled_grid, shuffled_values, truncation)
+    assert len(calls) == 1
+    split, split_res = solve_wave_coefficients(grid, values, truncation)
+    assert len(calls) == 1
+    assert np.max(np.abs(split - dense)) < 1e-12 * np.max(np.abs(dense))
+    np.testing.assert_allclose(split_res, dense_res, rtol=0.0, atol=1e-12)
+    assert np.all(split_res > 1e-6)  # the noise is really there to fit
+    one = fit_wave_coefficients(FieldSampleSet(grid, values[:, 0]), truncation)
+    other = fit_wave_coefficients(FieldSampleSet(shuffled_grid, shuffled_values[:, 0]), truncation)
+    assert abs(one.residual - other.residual) < 1e-12
+    assert abs(one.residual - split_res[0]) < 1e-12
+
+
+def _polar_caps(truncation, cap):
+    rows = np.linspace(cap / 4.0, cap, truncation + 1)
+    columns = 2 * truncation + 2
+    return _product_grid(
+        np.concatenate((rows, np.pi - rows)), 2.0 * np.pi * np.arange(columns) / columns
+    )
+
+
+@pytest.mark.parametrize(
+    "truncation, grid",
+    [
+        # 48 modes; 2 rows x 20 columns give 80 equations but too few theta rows
+        (4, _product_grid([0.7, 2.0], 2.0 * np.pi * np.arange(20) / 20)),
+        # high orders fade near the poles: their blocks fall below the global
+        # cutoff (rank 148) although each clears a cutoff set by its own block
+        (8, _polar_caps(8, 0.04)),
+    ],
+)
+def test_rank_deficient_equiangular_grids_report_the_dense_rank(truncation, grid):
+    values = np.random.default_rng(61).standard_normal(2 * grid.shape[0]) + 0j
+    shuffled_grid, shuffled_values = _shuffled(np.random.default_rng(62), grid, values)
+    ranks = []
+    for dirs, vals in ((grid, values), (shuffled_grid, shuffled_values)):
+        with pytest.raises(ConditioningError) as info:
+            fit_wave_coefficients(FieldSampleSet(dirs, vals), truncation)
+        ranks.append(info.value.effective_rank)
+    assert ranks[0] == ranks[1] < mode_count(truncation)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        2.0 * np.pi * np.arange(8) / 8,  # C = 8 < 2N + 1 aliases order 4 onto -4
+        0.1 + 2.0 * np.pi * np.arange(10) / 10,  # azimuth offset
+    ],
+)
+def test_grids_off_the_equiangular_layout_take_the_dense_path(phi, monkeypatch):
+    truncation = 4
+    rng = np.random.default_rng(63)
+    grid = _product_grid((np.arange(10) + 0.5) * np.pi / 10, phi)
+    values = _noisy_fields(rng, grid, truncation)
+    shuffled_grid, shuffled_values = _shuffled(rng, grid, values)
+    calls = _count_dense_builds(monkeypatch)
+    coefficients, residuals = solve_wave_coefficients(grid, values, truncation)
+    assert len(calls) == 1
+    reference, reference_res = solve_wave_coefficients(shuffled_grid, shuffled_values, truncation)
+    assert np.max(np.abs(coefficients - reference)) < 1e-12 * np.max(np.abs(reference))
+    np.testing.assert_allclose(residuals, reference_res, rtol=0.0, atol=1e-12)
