@@ -8,7 +8,6 @@ radians everywhere inside the library).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,10 +72,6 @@ class ArrayGeometry:
     def length(self) -> float:
         """End-to-end array length (M - 1) * spacing in wavelengths."""
         return (self.element_count - 1) * self.spacing
-
-    def describe(self) -> str:
-        """Canonical one-line description used for content hashing."""
-        return f"ula:M={self.element_count};d={self.spacing!r}"
 
 
 def _unit_axis(axis):
@@ -243,17 +238,6 @@ class ElementPattern:
             ok = sinpsi2 > 0.0
             scale[ok] = np.cos(0.5 * np.pi * cospsi[ok]) / sinpsi2[ok]
         return (scale * a_th).astype(complex), (scale * a_ph).astype(complex)
-
-    def describe(self) -> str:
-        """Canonical one-line description used for content hashing."""
-        if self.kind == "sampled":
-            digest = hashlib.sha256()
-            for arr in (self.theta_grid, self.phi_grid, self.samples):
-                digest.update(np.ascontiguousarray(arr).tobytes())
-            return f"sampled:{digest.hexdigest()[:16]}"
-        if self.kind == "isotropic":
-            return "isotropic"
-        return f"{self.kind}:axis=({self.axis[0]!r},{self.axis[1]!r},{self.axis[2]!r})"
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     SingularMatrixError,
 )
-from .radiation import ImpedanceMatrix
+from .radiation import ImpedanceMatrix, power_quotient
 
 _CONDITION_WARN = 1e12
 
@@ -73,7 +73,7 @@ def _solve_impedance(impedance: ImpedanceMatrix, rhs: np.ndarray) -> np.ndarray:
             f"impedance matrix condition number {cond:.3e} exceeds {_CONDITION_WARN:.0e}; "
             "results may lose precision",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,  # public entry point -> _solve_steering -> here; report its caller
         )
     try:
         c, low = scipy.linalg.cho_factor(impedance.values)
@@ -89,14 +89,43 @@ def _solve_impedance(impedance: ImpedanceMatrix, rhs: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _solve_coupling(coupling: CouplingMatrix, rhs: np.ndarray) -> np.ndarray:
+def _solve_steering(solve_with: ImpedanceMatrix, steering: SteeringVector) -> np.ndarray:
+    """x = solve_with^-1 e*, the unnormalized optimum toward the steering direction."""
+    e = steering.values
+    if not np.any(e):
+        raise DegenerateInputError("steering vector is zero; element pattern has a null there")
+    return _solve_impedance(solve_with, e.conj())
+
+
+def _port_excitation(impedance: ImpedanceMatrix, excitation) -> np.ndarray:
+    b = np.asarray(excitation, dtype=complex).reshape(-1)
+    if b.size != impedance.size:
+        raise DimensionError("excitation length does not match the array")
+    if not np.any(b):
+        raise DegenerateInputError("excitation must not be the zero vector")
+    return b
+
+
+def _compensated(impedance, coupling, steering, x, r_loss=0.0) -> BeamformingSolution:
+    """Port excitation b = zeta C^-1 x, scaled to unit radiated power through Z."""
+    power = float(np.real(x @ impedance.values @ x.conj()))
+    if power <= 0.0:
+        raise ConditioningError(f"radiated power {power:.3e} is not positive")
     try:
-        return np.linalg.solve(coupling.values, rhs)
+        b = np.linalg.solve(coupling.values, x) / np.sqrt(power)
     except np.linalg.LinAlgError as exc:
         cond = float(np.linalg.cond(coupling.values))
         raise SingularMatrixError(
             f"coupling matrix is singular: {exc}", condition_number=cond
         ) from exc
+    return BeamformingSolution(
+        excitation=b,
+        directivity=coupled_directivity(impedance, coupling, steering, b),
+        direction=steering.direction,
+        mode="coupled",
+        condition_number=impedance.condition_number,
+        loss_resistance=r_loss,
+    )
 
 
 def loss_resistance(efficiency: float) -> float:
@@ -113,11 +142,8 @@ def optimal_beamforming(impedance: ImpedanceMatrix, steering: SteeringVector) ->
     which upper-bounds the directivity of every other excitation.
     """
     _check_sizes(impedance, steering)
-    e = steering.values
-    if not np.any(e):
-        raise DegenerateInputError("steering vector is zero; element pattern has a null there")
-    x = _solve_impedance(impedance, e.conj())
-    dmax = float(np.real(np.dot(e, x)))
+    x = _solve_steering(impedance, steering)
+    dmax = float(np.real(np.dot(steering.values, x)))
     if dmax <= 0.0:
         raise ConditioningError(f"computed optimum {dmax:.3e} is not positive")
     return BeamformingSolution(
@@ -141,19 +167,8 @@ def coupled_directivity(
     C b, not b itself.
     """
     _check_sizes(impedance, steering, coupling)
-    b = np.asarray(excitation, dtype=complex).reshape(-1)
-    if b.size != impedance.size:
-        raise DimensionError("excitation length does not match the array")
-    if not np.any(b):
-        raise DegenerateInputError("excitation must not be the zero vector")
-    w = coupling.values @ b
-    numerator = abs(np.dot(steering.values, w)) ** 2
-    denominator = float(np.real(w @ impedance.values @ w.conj()))
-    if denominator <= 0.0:
-        raise ConditioningError(
-            f"radiated power {denominator:.3e} is not positive; result untrustworthy"
-        )
-    return float(numerator / denominator)
+    b = _port_excitation(impedance, excitation)
+    return power_quotient(impedance, steering.values, coupling.values @ b)
 
 
 def coupled_beamforming(
@@ -167,22 +182,7 @@ def coupled_beamforming(
     equals D_max only insofar as the solve is numerically exact.
     """
     _check_sizes(impedance, steering, coupling)
-    e = steering.values
-    if not np.any(e):
-        raise DegenerateInputError("steering vector is zero; element pattern has a null there")
-    x = _solve_impedance(impedance, e.conj())
-    power = float(np.real(x @ impedance.values @ x.conj()))
-    if power <= 0.0:
-        raise ConditioningError(f"radiated power {power:.3e} is not positive")
-    b = _solve_coupling(coupling, x) / np.sqrt(power)
-    d_c = coupled_directivity(impedance, coupling, steering, b)
-    return BeamformingSolution(
-        excitation=b,
-        directivity=d_c,
-        direction=steering.direction,
-        mode="coupled",
-        condition_number=impedance.condition_number,
-    )
+    return _compensated(impedance, coupling, steering, _solve_steering(impedance, steering))
 
 
 def gain(
@@ -200,19 +200,8 @@ def gain(
     """
     _check_sizes(impedance, steering, coupling)
     r_loss = loss_resistance(efficiency)
-    b = np.asarray(excitation, dtype=complex).reshape(-1)
-    if b.size != impedance.size:
-        raise DimensionError("excitation length does not match the array")
-    if not np.any(b):
-        raise DegenerateInputError("excitation must not be the zero vector")
-    w = coupling.values @ b
-    numerator = abs(np.dot(steering.values, w)) ** 2
-    denominator = float(np.real(w @ impedance.values @ w.conj()) + r_loss * np.real(w @ w.conj()))
-    if denominator <= 0.0:
-        raise ConditioningError(
-            f"accepted power {denominator:.3e} is not positive; result untrustworthy"
-        )
-    return float(numerator / denominator)
+    b = _port_excitation(impedance, excitation)
+    return power_quotient(impedance, steering.values, coupling.values @ b, r_loss)
 
 
 def gain_optimal_beamforming(
@@ -230,26 +219,6 @@ def gain_optimal_beamforming(
     """
     _check_sizes(impedance, steering, coupling)
     r_loss = loss_resistance(efficiency)
-    e = steering.values
-    if not np.any(e):
-        raise DegenerateInputError("steering vector is zero; element pattern has a null there")
-    loaded = ImpedanceMatrix(
-        values=impedance.values + r_loss * np.eye(impedance.size),
-        geometry_hash=impedance.geometry_hash,
-        condition_number=float(np.linalg.cond(impedance.values + r_loss * np.eye(impedance.size))),
-        loading=impedance.loading + r_loss,
-    )
-    x = _solve_impedance(loaded, e.conj())
-    power = float(np.real(x @ impedance.values @ x.conj()))
-    if power <= 0.0:
-        raise ConditioningError(f"radiated power {power:.3e} is not positive")
-    b = _solve_coupling(coupling, x) / np.sqrt(power)
-    d_c = coupled_directivity(impedance, coupling, steering, b)
-    return BeamformingSolution(
-        excitation=b,
-        directivity=d_c,
-        direction=steering.direction,
-        mode="coupled",
-        condition_number=impedance.condition_number,
-        loss_resistance=r_loss,
-    )
+    values = impedance.values + r_loss * np.eye(impedance.size)
+    loaded = ImpedanceMatrix(values, float(np.linalg.cond(values)), impedance.loading + r_loss)
+    return _compensated(impedance, coupling, steering, _solve_steering(loaded, steering), r_loss)

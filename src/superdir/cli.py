@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import typing
 
 from . import fileio
 from .arraymodel import ArrayGeometry, ElementPattern, steering_vector
@@ -50,22 +51,6 @@ SPEED_OF_LIGHT = 299792458.0
 DEFAULT_FREQUENCY = 845e6  # Hz; used only to convert meter-denominated inputs
 
 _ANALYTIC_PATTERNS = ("isotropic", "hertzian-dipole", "half-wave-dipole")
-
-_CONFIG_KEYS = (
-    "antennas",
-    "pattern",
-    "spacing_start",
-    "spacing_stop",
-    "spacing_steps",
-    "theta0_deg",
-    "phi0_deg",
-    "efficiency",
-    "coupling",
-    "quadrature_theta",
-    "quadrature_phi",
-    "truncation",
-)
-
 
 class UsageError(SuperdirError, ValueError):
     """Bad command line or configuration input."""
@@ -224,59 +209,32 @@ def _parse_spacing_range(text: str):
     return start, stop, steps
 
 
-_CONFIG_CONVERTERS = {
-    "antennas": int,
-    "pattern": str,
-    "spacing_start": float,
-    "spacing_stop": float,
-    "spacing_steps": int,
-    "theta0_deg": float,
-    "phi0_deg": float,
-    "efficiency": float,
-    "coupling": str,
-    "quadrature_theta": int,
-    "quadrature_phi": int,
-    "truncation": int,
-}
-
-_CONFIG_TO_SPEC = {"pattern": "pattern_kind", "coupling": "coupling_source"}
+# Config keys are the SweepSpec fields, two of them under shorter names; the
+# sweep flags store into the field names themselves (argparse dest=).
+_SPEC_TYPES = typing.get_type_hints(SweepSpec)
+_RENAMED = {"pattern_kind": "pattern", "coupling_source": "coupling"}
+_CONFIG_FIELDS = {_RENAMED.get(name, name): name for name in _SPEC_TYPES}
 
 
 def _spec_from_config_and_flags(args) -> SweepSpec:
     values = {}
     if args.config:
         raw = fileio.read_config(args.config)
-        unknown = set(raw) - set(_CONFIG_KEYS)
+        unknown = set(raw) - set(_CONFIG_FIELDS)
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
         for key, text in raw.items():
+            name = _CONFIG_FIELDS[key]
             try:
-                values[_CONFIG_TO_SPEC.get(key, key)] = _CONFIG_CONVERTERS[key](text)
+                values[name] = _SPEC_TYPES[name](text)
             except ValueError as exc:
                 raise UsageError(f"config key {key!r}: bad value {text!r}") from exc
-    if args.antennas is not None:
-        values["antennas"] = args.antennas
-    if args.pattern is not None:
-        values["pattern_kind"] = args.pattern
+    for name in _SPEC_TYPES:
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
     if args.spacing is not None:
         start, stop, steps = _parse_spacing_range(args.spacing)
-        values["spacing_start"] = start
-        values["spacing_stop"] = stop
-        values["spacing_steps"] = steps
-    if args.theta0 is not None:
-        values["theta0_deg"] = args.theta0
-    if args.phi0 is not None:
-        values["phi0_deg"] = args.phi0
-    if args.efficiency is not None:
-        values["efficiency"] = args.efficiency
-    if args.coupling is not None:
-        values["coupling_source"] = args.coupling
-    if args.quadrature_theta is not None:
-        values["quadrature_theta"] = args.quadrature_theta
-    if args.quadrature_phi is not None:
-        values["quadrature_phi"] = args.quadrature_phi
-    if args.truncation is not None:
-        values["truncation"] = args.truncation
+        values.update(spacing_start=start, spacing_stop=stop, spacing_steps=steps)
     if "antennas" not in values:
         raise UsageError("antennas must be given via --antennas or the config file")
     return SweepSpec(**values)
@@ -300,15 +258,13 @@ def _cmd_sweep(args) -> int:
 # ---- swe fit ----------------------------------------------------------------
 
 
-def _resolve_truncation(args, default_radius=None) -> int:
+def _resolve_truncation(args) -> int:
     if getattr(args, "truncation", None) is not None:
         if args.truncation < 1:
             raise UsageError("--truncation must be >= 1")
         return args.truncation
     if getattr(args, "radius", None) is not None:
         return truncation_degree(args.radius)
-    if default_radius is not None:
-        return truncation_degree(default_radius)
     raise UsageError("one of --truncation or --radius is required")
 
 
@@ -343,9 +299,9 @@ def _cmd_coupling_estimate(args) -> int:
         trunc = default_truncation(ArrayGeometry(library.element_count, _resolve_spacing(args)))
     else:
         trunc = _resolve_truncation(args)
-    qs = build_coefficient_set(library.isolated, trunc)
-    qc = build_coefficient_set(library.active, trunc)
-    estimate = estimate_coupling(qs, qc)
+    m = library.element_count
+    coeffs = build_coefficient_set(library.isolated + library.active, trunc)  # one shared grid
+    estimate = estimate_coupling(coeffs[:, :m], coeffs[:, m:])
     fileio.write_coupling(_output_or_stdout(args), estimate)
     print(
         f"truncation N = {trunc}, estimation residual = {estimate.estimation_residual:.3e}",
@@ -419,12 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="sweep spacing and emit CSV")
     p_sw.add_argument("--config", help="key = value configuration file")
     p_sw.add_argument("--antennas", type=int)
-    p_sw.add_argument("--pattern", choices=_ANALYTIC_PATTERNS)
+    p_sw.add_argument("--pattern", dest="pattern_kind", choices=_ANALYTIC_PATTERNS)
     p_sw.add_argument("--spacing", help="start:stop:steps in wavelengths")
-    p_sw.add_argument("--theta0", type=float, help="steering polar angle in degrees")
-    p_sw.add_argument("--phi0", type=float, help="steering azimuth in degrees")
+    p_sw.add_argument("--theta0", dest="theta0_deg", metavar="THETA0", type=float,
+                      help="steering polar angle in degrees")
+    p_sw.add_argument("--phi0", dest="phi0_deg", metavar="PHI0", type=float,
+                      help="steering azimuth in degrees")
     p_sw.add_argument("--efficiency", type=float)
-    p_sw.add_argument("--coupling", help="identity | file:<path> | synthetic:gamma=<g>,beta=<b>")
+    p_sw.add_argument("--coupling", dest="coupling_source", metavar="COUPLING",
+                      help="identity | file:<path> | synthetic:gamma=<g>,beta=<b>")
     p_sw.add_argument("--quadrature-theta", type=int)
     p_sw.add_argument("--quadrature-phi", type=int)
     p_sw.add_argument(

@@ -14,7 +14,6 @@ phi-periodic integrands here to machine precision at modest sizes.
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +89,6 @@ class SphereQuadrature:
         """Same scheme at twice the node count on both axes."""
         return SphereQuadrature.gauss_legendre(2 * self.theta.size, 2 * self.phi_count)
 
-    def describe(self) -> str:
-        """Canonical one-line description used for content hashing."""
-        return f"gl{self.theta.size}x{self.phi_count}"
-
 
 @functools.lru_cache(maxsize=8)
 def _cached_gauss_legendre(theta_count, phi_count):
@@ -109,14 +104,12 @@ def default_quadrature() -> SphereQuadrature:
 class ImpedanceMatrix:
     """Normalized radiation impedance matrix of an array.
 
-    ``values`` is real symmetric positive semidefinite; ``geometry_hash``
-    identifies the (geometry, pattern, quadrature) that produced it and
+    ``values`` is real symmetric positive semidefinite and
     ``condition_number`` is the 2-norm condition estimate of ``values``
     (after any diagonal loading).
     """
 
     values: np.ndarray
-    geometry_hash: str
     condition_number: float
     loading: float = 0.0
 
@@ -129,11 +122,6 @@ class ImpedanceMatrix:
     @property
     def size(self) -> int:
         return self.values.shape[0]
-
-
-def _geometry_hash(geometry, pattern, quadrature, loading):
-    text = ";".join((geometry.describe(), pattern.describe(), quadrature.describe(), repr(float(loading))))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _integrate_impedance(geometry, pattern, quadrature):
@@ -199,10 +187,27 @@ def impedance_matrix(
     condition = float(np.linalg.cond(values))
     return ImpedanceMatrix(
         values=values,
-        geometry_hash=_geometry_hash(geometry, pattern, quadrature, loading),
         condition_number=condition,
         loading=float(loading),
     )
+
+
+def power_quotient(impedance: ImpedanceMatrix, e, w, r_loss: float | None = None) -> float:
+    """Directivity |e^T w|^2 / (w^T Z w*) of the radiating excitation ``w``.
+
+    With a loss resistance ``r_loss`` the denominator becomes the accepted
+    power w^T Z w* + r_loss w^T w*, and the quotient is the gain.
+    """
+    numerator = abs(np.dot(e, w)) ** 2
+    denominator = float(np.real(w @ impedance.values @ w.conj()))
+    if r_loss is not None:
+        denominator = float(denominator + r_loss * np.real(w @ w.conj()))
+    if denominator <= 0.0:
+        power = "radiated" if r_loss is None else "accepted"
+        raise ConditioningError(
+            f"{power} power {denominator:.3e} is not positive; result untrustworthy"
+        )
+    return float(numerator / denominator)
 
 
 def directivity(
@@ -224,10 +229,4 @@ def directivity(
     if not np.any(a):
         raise DegenerateInputError("excitation must not be the zero vector")
     e = steering_vector(geometry, pattern, theta0, phi0).values
-    numerator = abs(np.dot(a, e)) ** 2
-    denominator = float(np.real(a @ impedance.values @ a.conj()))
-    if denominator <= 0.0:
-        raise ConditioningError(
-            f"radiated power {denominator:.3e} is not positive; result untrustworthy"
-        )
-    return float(numerator / denominator)
+    return power_quotient(impedance, e, a)

@@ -129,9 +129,7 @@ def test_half_wavelength_broadside_reaches_element_count_exactly():
 
 
 def test_singular_impedance_is_reported():
-    rank_one = ImpedanceMatrix(
-        values=np.ones((2, 2)), geometry_hash="test", condition_number=np.inf
-    )
+    rank_one = ImpedanceMatrix(values=np.ones((2, 2)), condition_number=np.inf)
     e = steering_vector(ArrayGeometry(2, 0.1), ISO, 0.0, 0.0)
     with pytest.raises(SingularMatrixError) as info:
         optimal_beamforming(rank_one, e)
@@ -140,11 +138,26 @@ def test_singular_impedance_is_reported():
 
 def test_ill_conditioned_impedance_warns():
     geometry, z, e = _setup(2, 0.1, theta0=0.0)
-    shifted = ImpedanceMatrix(
-        values=z.values, geometry_hash=z.geometry_hash, condition_number=1e13
-    )
+    shifted = ImpedanceMatrix(values=z.values, condition_number=1e13)
     with pytest.warns(RuntimeWarning, match="condition number"):
         optimal_beamforming(shifted, e)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda z, c, e: optimal_beamforming(z, e),
+        lambda z, c, e: coupled_beamforming(z, c, e),
+        lambda z, c, e: gain_optimal_beamforming(z, c, e, 1.0),
+    ],
+    ids=["optimal", "coupled", "gain-optimal"],
+)
+def test_ill_conditioning_warning_points_at_the_caller(solve):
+    geometry, z, e = _setup(12, 0.05, theta0=0.0)
+    assert z.condition_number > 1e12
+    with pytest.warns(RuntimeWarning, match="condition number") as record:
+        solve(z, CouplingMatrix.identity(12), e)
+    assert record[0].filename == __file__
 
 
 def test_steering_null_is_a_degenerate_input():

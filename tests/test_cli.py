@@ -256,6 +256,34 @@ def test_sweep_flags_override_the_config(tmp_path, capsys):
     assert float(row[1]) == pytest.approx(3.0, abs=1e-9)  # broadside optimum is M
 
 
+@pytest.mark.parametrize(
+    "key, text, flag, field, from_file, from_flag",
+    [
+        ("phi0_deg", "30", ["--phi0", "45"], "phi0_deg", 30.0, 45.0),
+        ("efficiency", "0.8", ["--efficiency", "0.5"], "efficiency", 0.8, 0.5),
+        ("coupling", "synthetic:gamma=0.3,beta=1.1", ["--coupling", "identity"],
+         "coupling_source", "synthetic:gamma=0.3,beta=1.1", "identity"),
+        ("quadrature_theta", "32", ["--quadrature-theta", "48"], "quadrature_theta", 32, 48),
+        ("quadrature_phi", "64", ["--quadrature-phi", "96"], "quadrature_phi", 64, 96),
+        ("truncation", "9", ["--truncation", "11"], "truncation", 9, 11),
+    ],
+)
+def test_sweep_config_key_and_its_flag_reach_the_spec(
+    tmp_path, capsys, monkeypatch, key, text, flag, field, from_file, from_flag
+):
+    from superdir import cli
+
+    specs = []
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: specs.append(spec) or [])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"antennas = 2\n{key} = {text}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["sweep", "--config", str(cfg), *flag]) == 0
+    got = [getattr(spec, field) for spec in specs]
+    assert got == [from_file, from_flag]
+    assert [type(value) for value in got] == [type(from_file)] * 2
+
+
 def test_sweep_unknown_config_key_exits_one(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("antennas = 2\nwavelength = 0.3\n")
@@ -368,3 +396,43 @@ def test_synth_then_estimate_fits_the_read_back_grid_by_order(tmp_path, capsys, 
     assert "N = 13" in capsys.readouterr().err
     found = read_coupling(tmp_path / "c.csv")
     np.testing.assert_allclose(found.values, coupling_fixture(3, 0.3, 1.1).values, atol=1e-8)
+
+
+def test_estimate_on_random_directions_builds_the_dense_basis_once(tmp_path, capsys, monkeypatch):
+    from superdir import ArrayGeometry, ElementPattern, read_field_samples, swe
+    from superdir.coupling import (
+        build_coefficient_set,
+        estimate_coupling,
+        isolated_fields_synthetic,
+        synthesize_coupled_fields,
+    )
+
+    rng = np.random.default_rng(12)
+    count = 600
+    directions = np.column_stack(
+        (np.arccos(rng.uniform(-1.0, 1.0, count)), rng.uniform(0.0, 2.0 * np.pi, count))
+    )
+    geometry = ArrayGeometry(3, 0.2)
+    isolated = isolated_fields_synthetic(geometry, ElementPattern.half_wave_dipole(), directions)
+    active = synthesize_coupled_fields(isolated, coupling_fixture(3, 0.3, 1.1))
+    paths = {}
+    for kind, fields in (("isolated", isolated), ("active", active)):
+        paths[kind] = [str(tmp_path / f"{kind}_{i}.csv") for i in range(1, 4)]
+        for path, field in zip(paths[kind], fields):
+            write_field_samples(path, field)
+
+    original = swe.basis_matrix
+    calls = []
+    monkeypatch.setattr(swe, "basis_matrix", lambda *a, **k: calls.append(1) or original(*a, **k))
+    estimate = ["coupling", "estimate", "--isolated", *paths["isolated"],
+                "--active", *paths["active"], "--truncation", "8",
+                "--output", str(tmp_path / "c.csv")]
+    assert main(estimate) == 0
+    assert len(calls) == 1
+
+    iso = [read_field_samples(path) for path in paths["isolated"]]
+    act = [read_field_samples(path) for path in paths["active"]]
+    separate = estimate_coupling(build_coefficient_set(iso, 8), build_coefficient_set(act, 8))
+    found = read_coupling(tmp_path / "c.csv")
+    scale = np.max(np.abs(separate.values))
+    assert np.max(np.abs(found.values - separate.values)) <= 1e-12 * scale

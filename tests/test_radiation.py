@@ -133,13 +133,6 @@ def test_condition_number_grows_as_spacing_shrinks():
     assert conds[0] < conds[1] < conds[2]
 
 
-def test_geometry_hash_distinguishes_configurations():
-    a = impedance_matrix(ArrayGeometry(2, 0.1), ElementPattern.isotropic())
-    b = impedance_matrix(ArrayGeometry(2, 0.2), ElementPattern.isotropic())
-    c = impedance_matrix(ArrayGeometry(2, 0.1), ElementPattern.hertzian_dipole())
-    assert len({a.geometry_hash, b.geometry_hash, c.geometry_hash}) == 3
-
-
 # ---- directivity ------------------------------------------------------------
 
 
@@ -208,8 +201,6 @@ def test_nonpositive_radiated_power_is_flagged():
     geometry = ArrayGeometry(2, 0.3)
     pattern = ElementPattern.isotropic()
     z = impedance_matrix(geometry, pattern)
-    broken = type(z)(
-        values=-z.values, geometry_hash=z.geometry_hash, condition_number=z.condition_number
-    )
+    broken = type(z)(values=-z.values, condition_number=z.condition_number)
     with pytest.raises(ConditioningError):
         directivity(geometry, pattern, broken, [1.0, 0.5], 0.5, 0.5)
