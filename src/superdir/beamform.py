@@ -2,9 +2,10 @@
 
 Directivity is a generalized Rayleigh quotient |a^T e|^2 / (a^T Z a*), so the
 optimum is a closed-form solve against Z (the numerator matrix has rank one);
-no iterative eigensolver is involved. With a coupling matrix C the port
-excitation b is driven so that the radiating excitation C b realizes the same
-optimum: b = C^-1 Z^-1 e*.
+no iterative eigensolver is involved. Every solve and every power goes through
+the triangular factor R^T R = Z, never through Z itself. With a coupling
+matrix C the port excitation b is driven so that the radiating excitation C b
+realizes the same optimum: b = C^-1 Z^-1 e*.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import scipy.linalg
 from .arraymodel import SteeringVector
 from .coupling import CouplingMatrix
 from .errors import (
-    ConditioningError,
     DegenerateInputError,
     DimensionError,
     DomainError,
@@ -44,7 +44,6 @@ class BeamformingSolution:
     mode: str
     condition_number: float
     loss_resistance: float = 0.0
-    normalization: str = "unit-power"
 
     def __post_init__(self):
         object.__setattr__(self, "excitation", np.asarray(self.excitation, dtype=complex).reshape(-1))
@@ -60,9 +59,19 @@ def _check_sizes(impedance: ImpedanceMatrix, steering: SteeringVector, coupling:
         raise DimensionError("coupling matrix size does not match the impedance matrix")
 
 
-def _solve_impedance(impedance: ImpedanceMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve Z x = rhs by Cholesky, falling back to a general factorization."""
+def _solve_steering(impedance: ImpedanceMatrix, steering: SteeringVector, r_loss: float = 0.0) -> tuple:
+    """x = (Z + r_loss I)^-1 e* and D = e^H x, the unnormalized optimum and its directivity.
+
+    Solves through the triangular factor R^T R = Z + r_loss I, so y = R^-T e*
+    loses digits like sqrt(cond(Z)) rather than cond(Z), and D = ||y||^2.
+    """
+    e = steering.values
+    if not np.any(e):
+        raise DegenerateInputError("steering vector is zero; element pattern has a null there")
+    identity = np.eye(impedance.size)
     cond = impedance.condition_number
+    if r_loss:
+        cond = float(np.linalg.cond(impedance.values + r_loss * identity))
     if not np.isfinite(cond):
         raise SingularMatrixError(
             f"impedance matrix is singular (condition estimate {cond})",
@@ -73,28 +82,18 @@ def _solve_impedance(impedance: ImpedanceMatrix, rhs: np.ndarray) -> np.ndarray:
             f"impedance matrix condition number {cond:.3e} exceeds {_CONDITION_WARN:.0e}; "
             "results may lose precision",
             RuntimeWarning,
-            stacklevel=4,  # public entry point -> _solve_steering -> here; report its caller
+            stacklevel=3,  # public entry point -> here; report its caller
         )
-    try:
-        c, low = scipy.linalg.cho_factor(impedance.values)
-        return scipy.linalg.cho_solve((c, low), rhs)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return scipy.linalg.solve(impedance.values, rhs)
-    except np.linalg.LinAlgError as exc:
+    r = impedance.square_root()
+    if r_loss:
+        r = np.linalg.qr(np.vstack((r, np.sqrt(r_loss) * identity)), mode="r")
+    y, pivot = scipy.linalg.lapack.ztrtrs(r, e.conj(), trans=1)
+    if pivot:  # R[pivot - 1, pivot - 1] == 0, e.g. fewer quadrature nodes than elements
         raise SingularMatrixError(
-            f"impedance matrix is singular: {exc} (condition estimate {cond:.3e})",
+            f"impedance matrix is singular: zero pivot {pivot} (condition estimate {cond:.3e})",
             condition_number=cond,
-        ) from exc
-
-
-def _solve_steering(solve_with: ImpedanceMatrix, steering: SteeringVector) -> np.ndarray:
-    """x = solve_with^-1 e*, the unnormalized optimum toward the steering direction."""
-    e = steering.values
-    if not np.any(e):
-        raise DegenerateInputError("steering vector is zero; element pattern has a null there")
-    return _solve_impedance(solve_with, e.conj())
+        )
+    return scipy.linalg.lapack.ztrtrs(r, y)[0], float(np.vdot(y, y).real)
 
 
 def _port_excitation(impedance: ImpedanceMatrix, excitation) -> np.ndarray:
@@ -107,12 +106,9 @@ def _port_excitation(impedance: ImpedanceMatrix, excitation) -> np.ndarray:
 
 
 def _compensated(impedance, coupling, steering, x, r_loss=0.0) -> BeamformingSolution:
-    """Port excitation b = zeta C^-1 x, scaled to unit radiated power through Z."""
-    power = float(np.real(x @ impedance.values @ x.conj()))
-    if power <= 0.0:
-        raise ConditioningError(f"radiated power {power:.3e} is not positive")
+    """Port excitation b = zeta C^-1 x, scaled to unit radiated power ||R x||^2."""
     try:
-        b = np.linalg.solve(coupling.values, x) / np.sqrt(power)
+        b = np.linalg.solve(coupling.values, x) / np.linalg.norm(impedance.square_root() @ x)
     except np.linalg.LinAlgError as exc:
         cond = float(np.linalg.cond(coupling.values))
         raise SingularMatrixError(
@@ -142,10 +138,7 @@ def optimal_beamforming(impedance: ImpedanceMatrix, steering: SteeringVector) ->
     which upper-bounds the directivity of every other excitation.
     """
     _check_sizes(impedance, steering)
-    x = _solve_steering(impedance, steering)
-    dmax = float(np.real(np.dot(steering.values, x)))
-    if dmax <= 0.0:
-        raise ConditioningError(f"computed optimum {dmax:.3e} is not positive")
+    x, dmax = _solve_steering(impedance, steering)
     return BeamformingSolution(
         excitation=x / np.sqrt(dmax),
         directivity=dmax,
@@ -182,7 +175,7 @@ def coupled_beamforming(
     equals D_max only insofar as the solve is numerically exact.
     """
     _check_sizes(impedance, steering, coupling)
-    return _compensated(impedance, coupling, steering, _solve_steering(impedance, steering))
+    return _compensated(impedance, coupling, steering, _solve_steering(impedance, steering)[0])
 
 
 def gain(
@@ -219,6 +212,5 @@ def gain_optimal_beamforming(
     """
     _check_sizes(impedance, steering, coupling)
     r_loss = loss_resistance(efficiency)
-    values = impedance.values + r_loss * np.eye(impedance.size)
-    loaded = ImpedanceMatrix(values, float(np.linalg.cond(values)), impedance.loading + r_loss)
-    return _compensated(impedance, coupling, steering, _solve_steering(loaded, steering), r_loss)
+    x, _ = _solve_steering(impedance, steering, r_loss)
+    return _compensated(impedance, coupling, steering, x, r_loss)

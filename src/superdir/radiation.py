@@ -14,7 +14,7 @@ phi-periodic integrands here to machine precision at modest sizes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class SphereQuadrature:
     theta: np.ndarray
     theta_weights: np.ndarray
     phi_count: int
-    scheme: str = "gauss-legendre-theta x uniform-phi"
 
     def __post_init__(self):
         th = np.asarray(self.theta, dtype=float).reshape(-1)
@@ -106,12 +105,15 @@ class ImpedanceMatrix:
 
     ``values`` is real symmetric positive semidefinite and
     ``condition_number`` is the 2-norm condition estimate of ``values``
-    (after any diagonal loading).
+    (after any diagonal loading). ``factor`` is an upper-triangular R with
+    R^T R = ``values``: ``impedance_matrix`` stores the one it gets from the
+    quadrature, and a matrix built from its values alone factors them by
+    Cholesky when first asked, so the two never disagree.
     """
 
     values: np.ndarray
     condition_number: float
-    loading: float = 0.0
+    factor: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -123,9 +125,22 @@ class ImpedanceMatrix:
     def size(self) -> int:
         return self.values.shape[0]
 
+    def square_root(self) -> np.ndarray:
+        """The triangular factor R with R^T R = Z."""
+        if self.factor is None:
+            try:
+                object.__setattr__(self, "factor", np.linalg.cholesky(self.values).T)
+            except np.linalg.LinAlgError as exc:
+                raise ConditioningError("impedance matrix is not positive definite") from exc
+        return self.factor
+
 
 def _integrate_impedance(geometry, pattern, quadrature):
-    """Quadrature of the impedance integrand, exploiting the z-axis layout."""
+    """Quadrature of the impedance integrand, exploiting the z-axis layout.
+
+    Returns Z and the weighted phases B = sqrt(g/4pi) [Re P; Im P] whose Gram
+    matrix B^T B is Z, since Re(P^T g P*) = Re^T g Re + Im^T g Im.
+    """
     costh = np.cos(quadrature.theta)
     phi = quadrature.phi
     th_grid, ph_grid = np.meshgrid(quadrature.theta, phi, indexing="ij")
@@ -140,7 +155,8 @@ def _integrate_impedance(geometry, pattern, quadrature):
             f"impedance integrand left an imaginary residue of {residue:.3e}"
         )
     real = raw.real
-    return 0.5 * (real + real.T)
+    scaled = phases * np.sqrt(g / (4.0 * np.pi))[:, None]
+    return 0.5 * (real + real.T), np.vstack((scaled.real, scaled.imag))
 
 
 def impedance_matrix(
@@ -169,45 +185,40 @@ def impedance_matrix(
     Returns
     -------
     ImpedanceMatrix
-        Real symmetric matrix with its condition number attached.
+        Real symmetric matrix with its condition number attached, factored as
+        the QR ``r`` of [B; sqrt(loading) I] for B the weighted phases.
     """
     if loading < 0.0:
         raise DomainError("diagonal loading must be >= 0")
     quadrature = quadrature or default_quadrature()
-    values = _integrate_impedance(geometry, pattern, quadrature)
+    values, weighted = _integrate_impedance(geometry, pattern, quadrature)
     if certified:
-        refined = _integrate_impedance(geometry, pattern, quadrature.double_density())
+        refined, _ = _integrate_impedance(geometry, pattern, quadrature.double_density())
         drift = float(np.max(np.abs(values - refined)))
         if drift > _REFINEMENT_TOL:
             raise AccuracyError(
                 f"quadrature too coarse: refinement moved entries by {drift:.3e}"
             )
+    identity = np.eye(geometry.element_count)
     if loading > 0.0:
-        values = values + loading * np.eye(geometry.element_count)
-    condition = float(np.linalg.cond(values))
-    return ImpedanceMatrix(
-        values=values,
-        condition_number=condition,
-        loading=float(loading),
-    )
+        values = values + loading * identity
+    impedance = ImpedanceMatrix(values=values, condition_number=float(np.linalg.cond(values)))
+    # the loading rows also keep R square when there are fewer nodes than elements
+    factor = np.linalg.qr(np.vstack((weighted, np.sqrt(loading) * identity)), mode="r")
+    object.__setattr__(impedance, "factor", factor)
+    return impedance
 
 
-def power_quotient(impedance: ImpedanceMatrix, e, w, r_loss: float | None = None) -> float:
+def power_quotient(impedance: ImpedanceMatrix, e, w, r_loss: float = 0.0) -> float:
     """Directivity |e^T w|^2 / (w^T Z w*) of the radiating excitation ``w``.
 
+    The radiated power w^T Z w* is evaluated as ||R w||^2 through the factor.
     With a loss resistance ``r_loss`` the denominator becomes the accepted
-    power w^T Z w* + r_loss w^T w*, and the quotient is the gain.
+    power ||R w||^2 + r_loss ||w||^2, and the quotient is the gain.
     """
-    numerator = abs(np.dot(e, w)) ** 2
-    denominator = float(np.real(w @ impedance.values @ w.conj()))
-    if r_loss is not None:
-        denominator = float(denominator + r_loss * np.real(w @ w.conj()))
-    if denominator <= 0.0:
-        power = "radiated" if r_loss is None else "accepted"
-        raise ConditioningError(
-            f"{power} power {denominator:.3e} is not positive; result untrustworthy"
-        )
-    return float(numerator / denominator)
+    radiating = impedance.square_root() @ w
+    power = np.vdot(radiating, radiating).real + r_loss * np.vdot(w, w).real
+    return float(abs(np.dot(e, w)) ** 2 / power)
 
 
 def directivity(

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fileio
 from .arraymodel import PATTERN_KINDS, ArrayGeometry, ElementPattern, steering_vector
 from .beamform import coupled_beamforming, coupled_directivity, gain, optimal_beamforming
 from .coupling import CouplingMatrix, coupling_fixture, estimate_fixture_coupling
@@ -120,14 +121,12 @@ def parse_coupling_source(
     geometry: ArrayGeometry | None = None,
     pattern: ElementPattern | None = None,
     truncation: int = 0,
-    read_file=None,
 ) -> CouplingMatrix:
     """Resolve a coupling-source string to a matrix.
 
     ``synthetic:`` sources run the estimation pipeline when a geometry and
     pattern are supplied, and fall back to the fixture matrix itself
-    otherwise. ``read_file`` is the loader used for ``file:`` sources
-    (injected to keep this module independent of fileio).
+    otherwise. ``file:`` sources are read by ``fileio.read_coupling``.
     """
     if text == "identity":
         return CouplingMatrix.identity(element_count)
@@ -135,10 +134,7 @@ def parse_coupling_source(
         path = text[len("file:"):]
         if not path:
             raise DomainError("file: coupling source needs a path")
-        if read_file is None:
-            from .fileio import read_coupling
-            read_file = read_coupling
-        matrix = read_file(path)
+        matrix = fileio.read_coupling(path)
         if matrix.size != element_count:
             raise DataError(
                 f"coupling file is {matrix.size}x{matrix.size} "

@@ -8,6 +8,8 @@ agreement between the two is meaningful:
   (Simpson in theta, rectangle rule in the periodic phi direction).
 - endfire_pair_dmax is the hand-derived 2x2 closed form for two isotropic
   elements steered along the array axis.
+- isotropic_endfire_dmax solves e^H Z^-1 e for isotropic elements steered
+  endfire on the sinc closed form of Z, in 50-digit arithmetic.
 - legendre_tables evaluates normalized associated Legendre functions and
   their theta-derivatives from exact rational polynomial coefficients with
   50-digit arithmetic (slow but trustworthy to far below 1e-12).
@@ -54,6 +56,22 @@ def endfire_pair_dmax(spacing):
     kd = 2.0 * math.pi * spacing
     s = math.sin(kd) / kd
     return 2.0 * (1.0 - s * math.cos(kd)) / (1.0 - s * s)
+
+
+def isotropic_endfire_dmax(count, spacing):
+    """Optimum e^H Z^-1 e of ``count`` isotropic elements steered endfire.
+
+    Z is the sinc Toeplitz matrix z_mn = sinc(2 pi d |m - n|) and
+    e_m = exp(j 2 pi d m); the 50-digit solve stays exact far beyond the
+    cond(Z) ~ 1e17 that double precision cannot represent.
+    """
+    kd = 2 * mpmath.pi * mpmath.mpf(spacing)
+    z = mpmath.matrix(count, count)
+    for m in range(count):
+        for n in range(count):
+            z[m, n] = mpmath.sinc(kd * abs(m - n))
+    x = mpmath.lu_solve(z, mpmath.matrix([mpmath.expj(-kd * m) for m in range(count)]))
+    return float(mpmath.re(mpmath.fsum(mpmath.expj(kd * m) * x[m] for m in range(count))))
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,12 @@
 """Optimal excitations, coupled compensation, and gain under ohmic loss."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import brute_force_directivity, endfire_pair_dmax
+from oracles import brute_force_directivity, endfire_pair_dmax, isotropic_endfire_dmax
 from superdir import (
     ArrayGeometry,
     CouplingMatrix,
@@ -13,6 +15,7 @@ from superdir import (
     ElementPattern,
     ImpedanceMatrix,
     SingularMatrixError,
+    SphereQuadrature,
     coupled_beamforming,
     coupled_directivity,
     directivity,
@@ -128,12 +131,52 @@ def test_half_wavelength_broadside_reaches_element_count_exactly():
         assert optimal_beamforming(z, e).directivity == pytest.approx(m, abs=1e-9)
 
 
+@pytest.mark.parametrize("m", [8, 10, 12])
+@pytest.mark.parametrize("spacing", [0.05, 0.1])
+def test_ill_conditioned_optimum_matches_the_50_digit_oracle(m, spacing):
+    # cond(Z) runs from 1e11 to 1e17 here; the factor solve loses sqrt(cond(Z))
+    geometry, z, e = _setup(m, spacing, theta0=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        dmax = optimal_beamforming(z, e).directivity
+    tolerance = 1e-4 if (m, spacing) == (12, 0.05) else 1e-6
+    assert dmax == pytest.approx(isotropic_endfire_dmax(m, spacing), rel=tolerance)
+
+
+def test_optimum_rises_as_the_spacing_shrinks_and_survives_identity_coupling():
+    # superdirectivity: D_max grows monotonically toward M^2 as d -> 0
+    identity = CouplingMatrix.identity(8)
+    dmax = []
+    for spacing in np.linspace(0.02, 0.3, 29):
+        geometry, z, e = _setup(8, spacing, theta0=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            best = optimal_beamforming(z, e).directivity
+            compensated = coupled_beamforming(z, identity, e)
+        assert compensated.directivity == pytest.approx(best, rel=1e-6)
+        assert gain(z, identity, e, compensated.excitation, 1.0) == pytest.approx(best, rel=1e-6)
+        dmax.append(best)
+    assert np.all(np.diff(dmax) < 0.0)
+    assert dmax[0] < 64.0
+
+
 def test_singular_impedance_is_reported():
     rank_one = ImpedanceMatrix(values=np.ones((2, 2)), condition_number=np.inf)
     e = steering_vector(ArrayGeometry(2, 0.1), ISO, 0.0, 0.0)
     with pytest.raises(SingularMatrixError) as info:
         optimal_beamforming(rank_one, e)
     assert info.value.condition_number == np.inf
+
+
+def test_fewer_quadrature_nodes_than_elements_is_singular():
+    # 2 theta nodes give the factor 4 rows for 5 elements: an exact zero pivot
+    geometry = ArrayGeometry(5, 0.3)
+    z = impedance_matrix(geometry, ISO, SphereQuadrature.gauss_legendre(2, 4))
+    e = steering_vector(geometry, ISO, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SingularMatrixError, match="zero pivot"):
+            optimal_beamforming(z, e)
 
 
 def test_ill_conditioned_impedance_warns():

@@ -195,6 +195,17 @@ def test_spacing_flags_are_mutually_exclusive(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", [["beamform", "--spacing", "0.1"],
+                                     ["sweep", "--spacing", "0.1:0.2:2"]])
+def test_dipole_broadside_needs_phi0_90(command, capsys):
+    # the dipoles lie along x, so theta0 = 90 at phi0 = 0 is their own null
+    args = command + ["--antennas", "4", "--pattern", "half-wave-dipole", "--theta0", "90"]
+    assert main(args + ["--phi0", "90"]) == 0
+    capsys.readouterr()
+    assert main(args + ["--phi0", "0"]) == 3
+    assert "steering vector is zero" in capsys.readouterr().err
+
+
 # ---- sweep ----------------------------------------------------------------------
 
 

@@ -75,7 +75,7 @@ def test_identity_source():
     np.testing.assert_array_equal(matrix.values, np.eye(3))
 
 
-def test_file_source_uses_the_injected_reader():
+def test_file_source_uses_the_injected_reader(monkeypatch):
     stored = CouplingMatrix.prescribed(np.array([[1.0, 0.2], [0.1, 1.0]]))
     seen = []
 
@@ -83,15 +83,17 @@ def test_file_source_uses_the_injected_reader():
         seen.append(path)
         return stored
 
-    matrix = parse_coupling_source("file:some/where.csv", 2, read_file=fake_read)
+    monkeypatch.setattr("superdir.fileio.read_coupling", fake_read)
+    matrix = parse_coupling_source("file:some/where.csv", 2)
     assert seen == ["some/where.csv"]
     assert matrix is stored
 
 
-def test_file_source_size_mismatch_is_a_data_error():
+def test_file_source_size_mismatch_is_a_data_error(monkeypatch):
     stored = CouplingMatrix.identity(3)
+    monkeypatch.setattr("superdir.fileio.read_coupling", lambda path: stored)
     with pytest.raises(DataError, match="3x3.*2 elements"):
-        parse_coupling_source("file:x.csv", 2, read_file=lambda path: stored)
+        parse_coupling_source("file:x.csv", 2)
 
 
 def test_file_source_requires_a_path():
