@@ -79,7 +79,9 @@ def _unit_axis(axis):
     norm = np.linalg.norm(axis)
     if norm == 0.0:
         raise DomainError("pattern axis must be a nonzero vector")
-    return axis / norm
+    unit = axis / norm
+    unit.flags.writeable = False
+    return unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +112,11 @@ class ElementPattern:
     def _validate_grid(self):
         if self.theta_grid is None or self.phi_grid is None or self.samples is None:
             raise DomainError("sampled pattern requires theta_grid, phi_grid and samples")
-        tg = np.asarray(self.theta_grid, dtype=float)
-        pg = np.asarray(self.phi_grid, dtype=float)
-        vals = np.asarray(self.samples, dtype=complex)
+        # private read-only copies: radiation caches ring weights by pattern identity
+        tg = np.array(self.theta_grid, dtype=float)
+        pg = np.array(self.phi_grid, dtype=float)
+        vals = np.array(self.samples, dtype=complex)
+        tg.flags.writeable = pg.flags.writeable = vals.flags.writeable = False
         if tg.ndim != 1 or pg.ndim != 1 or vals.shape != (tg.size, pg.size):
             raise DimensionError("samples must have shape (len(theta_grid), len(phi_grid))")
         if tg.size < 2 or pg.size < 2:

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .arraymodel import SteeringVector
 from .coupling import CouplingMatrix
@@ -84,6 +83,8 @@ def _solve_steering(impedance: ImpedanceMatrix, steering: SteeringVector, r_loss
             RuntimeWarning,
             stacklevel=3,  # public entry point -> here; report its caller
         )
+    import scipy.linalg  # here, not at the top: it is most of the package's import time
+
     r = impedance.square_root()
     if r_loss:
         r = np.linalg.qr(np.vstack((r, np.sqrt(r_loss) * identity)), mode="r")

@@ -45,8 +45,10 @@ class SphereQuadrature:
     phi_count: int
 
     def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float).reshape(-1)
-        w = np.asarray(self.theta_weights, dtype=float).reshape(-1)
+        # private read-only copies: _ring_weights caches results by identity
+        th = np.array(self.theta, dtype=float).reshape(-1)
+        w = np.array(self.theta_weights, dtype=float).reshape(-1)
+        th.flags.writeable = w.flags.writeable = False
         if th.size != w.size or th.size < 1:
             raise DimensionError("theta and theta_weights must have equal nonzero length")
         if np.any(w <= 0.0):
@@ -135,19 +137,30 @@ class ImpedanceMatrix:
         return self.factor
 
 
+@functools.lru_cache(maxsize=8)
+def _ring_weights(pattern, quadrature):
+    """Ring integral g(theta) of |k|^2 over phi, times the theta weights, read-only.
+
+    Phases depend on theta only for a z-axis array, so phi folds into these
+    weights. They depend on neither the spacing nor the element count, so a
+    sweep evaluates its pattern on the grid once. Both arguments are
+    immutable and compare by identity.
+    """
+    th_grid, ph_grid = np.meshgrid(quadrature.theta, quadrature.phi, indexing="ij")
+    k_abs2 = np.abs(pattern.evaluate(th_grid, ph_grid)) ** 2
+    g = (k_abs2.sum(axis=1) * (2.0 * np.pi / quadrature.phi_count)) * quadrature.theta_weights
+    g.flags.writeable = False
+    return g
+
+
 def _integrate_impedance(geometry, pattern, quadrature):
     """Quadrature of the impedance integrand, exploiting the z-axis layout.
 
     Returns Z and the weighted phases B = sqrt(g/4pi) [Re P; Im P] whose Gram
     matrix B^T B is Z, since Re(P^T g P*) = Re^T g Re + Im^T g Im.
     """
-    costh = np.cos(quadrature.theta)
-    phi = quadrature.phi
-    th_grid, ph_grid = np.meshgrid(quadrature.theta, phi, indexing="ij")
-    k_abs2 = np.abs(pattern.evaluate(th_grid, ph_grid)) ** 2
-    # phases depend on theta only for a z-axis array, so fold phi into weights
-    g = (k_abs2.sum(axis=1) * (2.0 * np.pi / quadrature.phi_count)) * quadrature.theta_weights
-    phases = np.exp(1j * WAVE_NUMBER * np.outer(costh, geometry.z_positions))
+    g = _ring_weights(pattern, quadrature)
+    phases = np.exp(1j * WAVE_NUMBER * np.outer(np.cos(quadrature.theta), geometry.z_positions))
     raw = (phases.T * g) @ phases.conj() / (4.0 * np.pi)
     residue = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
     if residue > _IMAG_RESIDUE_TOL:

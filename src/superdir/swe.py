@@ -29,6 +29,7 @@ rank rules.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,6 +343,27 @@ def _require_rank(rank, modes):
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _order_factors(truncation, theta_bytes):
+    """Theta block, column indices and SVD of every order m = -N..N, read-only.
+
+    They depend only on N and the theta rows (passed as float64 bytes so the
+    cache compares them by value), never on the sampled values, so repeated
+    fits on one grid factor it once. An entry takes 0.78 MiB at N = 13 and
+    7.7 MiB at N = 29.
+    """
+    ratio, tau = _angular_tables(truncation, np.frombuffer(theta_bytes))
+    factors = []
+    for m in range(-truncation, truncation + 1):
+        block, columns = _order_block(m, truncation, ratio, tau)
+        columns = np.asarray(columns)
+        u, s, vh = np.linalg.svd(block, full_matrices=False)
+        for array in (block, columns, u, s, vh):
+            array.flags.writeable = False
+        factors.append((block, columns, u, s, vh))
+    return tuple(factors)
+
+
 def _fit_by_order(theta_rows, columns, values, truncation, rcond):
     """Order-split least squares on an equiangular grid.
 
@@ -354,16 +376,14 @@ def _fit_by_order(theta_rows, columns, values, truncation, rcond):
     """
     rows, fields = theta_rows.size, values.shape[1]
     spectrum = np.fft.fft(values.reshape(rows, columns, 2, fields), axis=1, norm="forward")
-    ratio, tau = _angular_tables(truncation, theta_rows)
-    orders = range(-truncation, truncation + 1)
-    blocks = [_order_block(m, truncation, ratio, tau) for m in orders]
-    factors = [np.linalg.svd(block, full_matrices=False) for block, _ in blocks]
-    cutoff = rcond * max(s[0] for _, s, _ in factors)
+    factors = _order_factors(truncation, theta_rows.tobytes())
+    cutoff = rcond * max(s[0] for _, _, _, s, _ in factors)
     _require_rank(
-        sum(int(np.count_nonzero(s > cutoff)) for _, s, _ in factors), mode_count(truncation)
+        sum(int(np.count_nonzero(s > cutoff)) for _, _, _, s, _ in factors),
+        mode_count(truncation),
     )
     coeffs = np.empty((mode_count(truncation), fields), dtype=complex)
-    for m, (block, cols), (u, s, vh) in zip(orders, blocks, factors):
+    for m, (block, cols, u, s, vh) in zip(range(-truncation, truncation + 1), factors):
         profile = spectrum[:, m % columns]  # view: the misfit is left behind in place
         q = vh.conj().T @ ((u.conj().T @ profile.reshape(2 * rows, fields)) / s[:, None])
         coeffs[cols] = q

@@ -1,8 +1,10 @@
-"""Spacing sweeps over the beamforming pipeline, with thread-pool fan-out.
+"""Spacing sweeps over the beamforming pipeline.
 
-Each sweep point is independent, so points are dispatched to a thread pool
-and collected in spacing order; the emitted CSV is byte-identical for every
-worker count. The SUPERDIR_THREADS environment variable caps parallelism.
+Points run one after another in spacing order. Work that does not depend on
+the spacing is done once per sweep: one element pattern and one quadrature
+serve every point, so the impedance ring weights are computed once, and the
+spherical-wave fits of a synthetic source reuse the cached per-order factors
+of each truncation order.
 
 Coupling sources: ``identity`` and ``file:<path>`` supply the matrix
 directly; ``synthetic:gamma=<g>,beta=<b>`` synthesizes the parametric
@@ -14,8 +16,6 @@ would do (the truncation override applies there).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,22 +151,6 @@ def parse_coupling_source(
     raise DomainError(f"unknown coupling source {text!r}")
 
 
-def _worker_count(requested: int | None) -> int:
-    count = requested if requested is not None else (os.cpu_count() or 1)
-    env = os.environ.get("SUPERDIR_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise DomainError(f"SUPERDIR_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise DomainError("SUPERDIR_THREADS must be >= 1")
-        count = min(count, cap)
-    if count < 1:
-        raise DomainError("thread count must be >= 1")
-    return count
-
-
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
     """Evaluate every sweep point, in spacing order.
 
@@ -174,7 +158,8 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
     excitation actually achieves under the coupling model, the directivity of
     the coupling-compensated excitation, and its gain at the requested
     efficiency. Singular or untrustworthy points are flagged with NaNs and
-    the sweep continues.
+    the sweep continues. ``threads`` is accepted for compatibility and
+    ignored: points run serially.
     """
     pattern = ElementPattern.from_kind(spec.pattern_kind)
     quadrature = SphereQuadrature.gauss_legendre(spec.quadrature_theta, spec.quadrature_phi)
@@ -228,9 +213,4 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
                 note=str(exc),
             )
 
-    spacings = [float(s) for s in spec.spacings]
-    workers = _worker_count(threads)
-    if workers == 1 or len(spacings) == 1:
-        return [one_point(s) for s in spacings]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one_point, spacings))
+    return [one_point(s) for s in spec.spacings]

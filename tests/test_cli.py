@@ -1,6 +1,10 @@
 """Command line behavior: exit codes, output text, files, determinism."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,6 +388,33 @@ def test_estimate_can_take_the_spacing_instead_of_a_truncation(tmp_path, capsys)
     assert "N = 13" in capsys.readouterr().err  # radius 0.35 -> ceil(2 pi 0.35) + 10
     found = read_coupling(tmp_path / "c.csv")
     np.testing.assert_allclose(found.values, coupling_fixture(2, 0.25, 0.8).values, atol=1e-8)
+
+
+def test_coupling_commands_never_load_scipy_linalg(tmp_path):
+    import superdir
+
+    script = """
+import sys
+import superdir.cli
+
+loaded = ["scipy.linalg" in sys.modules]
+workdir = sys.argv[1]
+assert superdir.cli.main(["coupling", "synth", "--antennas", "2", "--spacing", "0.2",
+                          "--gamma", "0.3", "--beta", "1.1", "--truncation", "8",
+                          "--output-dir", workdir]) == 0
+assert superdir.cli.main(["coupling", "estimate",
+                          "--isolated", workdir + "/isolated_1.csv", workdir + "/isolated_2.csv",
+                          "--active", workdir + "/active_1.csv", workdir + "/active_2.csv",
+                          "--truncation", "8", "--output", workdir + "/c.csv"]) == 0
+loaded.append("scipy.linalg" in sys.modules)
+print(loaded)
+"""
+    paths = (str(Path(superdir.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[False, False]"
 
 
 def test_synth_then_estimate_fits_the_read_back_grid_by_order(tmp_path, capsys, monkeypatch):

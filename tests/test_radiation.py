@@ -57,6 +57,28 @@ def test_default_quadrature_is_cached_and_sized():
     assert quad.theta.size == 64 and quad.phi_count == 128
 
 
+def test_cached_inputs_hold_private_read_only_arrays():
+    # ring weights are cached by pattern and quadrature identity, so the
+    # arrays behind them must not change after construction
+    theta, phi = np.linspace(0.0, np.pi, 5), np.linspace(0.0, 1.5 * np.pi, 4)
+    samples = np.ones((5, 4), dtype=complex)
+    x, w = np.polynomial.legendre.leggauss(6)
+    nodes, weights = np.arccos(x[::-1]), w[::-1].copy()
+    axis = np.array([1.0, 0.0, 0.0])
+    pattern = ElementPattern.sampled(theta, phi, samples)
+    quad = SphereQuadrature(theta=nodes, theta_weights=weights, phi_count=8)
+    dipole = ElementPattern.half_wave_dipole(axis)
+    held = (pattern.theta_grid, pattern.phi_grid, pattern.samples,
+            quad.theta, quad.theta_weights, dipole.axis)
+    for array in held:
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+    for array in (theta, phi, samples, nodes, weights, axis):
+        array[0] = array[0]  # the caller's own arrays stay writable
+    theta[1] = 0.1
+    assert pattern.theta_grid[1] == np.pi / 4.0
+
+
 # ---- impedance matrix -------------------------------------------------------
 
 

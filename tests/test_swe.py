@@ -402,12 +402,43 @@ def _polar_caps(truncation, cap):
 def test_rank_deficient_equiangular_grids_report_the_dense_rank(truncation, grid):
     values = np.random.default_rng(61).standard_normal(2 * grid.shape[0]) + 0j
     shuffled_grid, shuffled_values = _shuffled(np.random.default_rng(62), grid, values)
+    swe._order_factors.cache_clear()
     ranks = []
-    for dirs, vals in ((grid, values), (shuffled_grid, shuffled_values)):
+    # the equiangular grid twice: on a cold and then a warm factor cache
+    for dirs, vals in ((grid, values), (grid, values), (shuffled_grid, shuffled_values)):
         with pytest.raises(ConditioningError) as info:
             fit_wave_coefficients(FieldSampleSet(dirs, vals), truncation)
         ranks.append(info.value.effective_rank)
-    assert ranks[0] == ranks[1] < mode_count(truncation)
+    assert swe._order_factors.cache_info().hits == 1
+    assert ranks[0] == ranks[1] == ranks[2] < mode_count(truncation)
+
+
+def test_cached_order_factors_give_the_cold_fit_bit_for_bit():
+    truncation = 6
+    grid = default_fit_grid(truncation)
+    values = _noisy_fields(np.random.default_rng(64), grid, truncation)
+    solve_wave_coefficients(grid, values, truncation)
+    warm = solve_wave_coefficients(grid, values, truncation)
+    swe._order_factors.cache_clear()
+    cold = solve_wave_coefficients(grid, values, truncation)
+    for a, b in zip(warm, cold):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_grids_with_other_theta_rows_get_their_own_order_factors():
+    truncation = 4
+    columns = 2.0 * np.pi * np.arange(10) / 10
+    rng = np.random.default_rng(65)
+    grids = [_product_grid((np.arange(10) + shift) * np.pi / 10.5, columns)
+             for shift in (0.5, 0.75)]
+    fields = [_noisy_fields(rng, grid, truncation) for grid in grids]
+    swe._order_factors.cache_clear()
+    cold = solve_wave_coefficients(grids[1], fields[1], truncation)[0]
+    swe._order_factors.cache_clear()
+    solve_wave_coefficients(grids[0], fields[0], truncation)
+    after_other = solve_wave_coefficients(grids[1], fields[1], truncation)[0]
+    assert swe._order_factors.cache_info().misses == 2
+    assert after_other.tobytes() == cold.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from superdir import (
     write_coupling,
 )
 from superdir.arraymodel import ArrayGeometry, ElementPattern
-from superdir.sweep import _worker_count
 
 from oracles import endfire_pair_dmax
 
@@ -139,28 +138,6 @@ def test_malformed_sources_are_rejected(text):
         parse_coupling_source(text, 2)
 
 
-# ---- worker count ---------------------------------------------------------------
-
-
-def test_worker_count_defaults_to_the_request(monkeypatch):
-    monkeypatch.delenv("SUPERDIR_THREADS", raising=False)
-    assert _worker_count(3) == 3
-    assert _worker_count(None) >= 1
-
-
-def test_worker_count_is_capped_by_the_environment(monkeypatch):
-    monkeypatch.setenv("SUPERDIR_THREADS", "2")
-    assert _worker_count(8) == 2
-    assert _worker_count(1) == 1
-
-
-@pytest.mark.parametrize("value", ["zero", "0", "-3"])
-def test_bad_worker_environment_is_rejected(monkeypatch, value):
-    monkeypatch.setenv("SUPERDIR_THREADS", value)
-    with pytest.raises(DomainError):
-        _worker_count(4)
-
-
 # ---- sweep results --------------------------------------------------------------
 
 
@@ -202,6 +179,21 @@ def test_rows_come_back_in_spacing_order():
     spec = _small_sweep(spacing_steps=5)
     rows = run_sweep(spec, threads=3)
     assert [row.spacing for row in rows] == [float(s) for s in spec.spacings]
+
+
+def test_a_sweep_evaluates_the_pattern_on_the_quadrature_grid_once(monkeypatch):
+    shapes = []
+    evaluate = ElementPattern.evaluate
+
+    def counting(self, theta, phi):
+        shapes.append(np.shape(theta))
+        return evaluate(self, theta, phi)
+
+    monkeypatch.setattr(ElementPattern, "evaluate", counting)
+    spec = _small_sweep(pattern_kind="half-wave-dipole", spacing_steps=5)
+    rows = run_sweep(spec)
+    assert [row.note for row in rows] == [""] * 5
+    assert shapes.count((spec.quadrature_theta, spec.quadrature_phi)) == 1
 
 
 def test_singular_coupling_file_flags_rows_instead_of_aborting(tmp_path):
