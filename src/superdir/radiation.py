@@ -87,8 +87,12 @@ class SphereQuadrature:
         return np.repeat(self.theta_weights * per_phi, self.phi_count)
 
     def double_density(self) -> "SphereQuadrature":
-        """Same scheme at twice the node count on both axes."""
-        return SphereQuadrature.gauss_legendre(2 * self.theta.size, 2 * self.phi_count)
+        """Same scheme at twice the node count on both axes.
+
+        Shared through the quadrature cache, so repeated certified builds
+        reuse one refined rule and its cached ring weights.
+        """
+        return _cached_gauss_legendre(2 * self.theta.size, 2 * self.phi_count)
 
 
 @functools.lru_cache(maxsize=8)

@@ -128,6 +128,21 @@ def test_certified_mode_accepts_the_default_rule():
     np.testing.assert_allclose(z.values, _sinc_matrix(ArrayGeometry(3, 0.2)), atol=1e-10)
 
 
+def test_certified_builds_evaluate_the_pattern_once_per_grid(monkeypatch):
+    shapes = []
+    evaluate = ElementPattern.evaluate
+
+    def counting(self, theta, phi):
+        shapes.append(np.shape(theta))
+        return evaluate(self, theta, phi)
+
+    monkeypatch.setattr(ElementPattern, "evaluate", counting)
+    pattern = ElementPattern.half_wave_dipole()
+    for spacing in (0.2, 0.3):
+        impedance_matrix(ArrayGeometry(3, spacing), pattern, certified=True)
+    assert sorted(shapes) == [(64, 128), (128, 256)]
+
+
 def test_certified_mode_rejects_a_rule_too_coarse_for_the_array():
     coarse = SphereQuadrature.gauss_legendre(3, 4)
     with pytest.raises(AccuracyError):
