@@ -98,27 +98,59 @@ def write_field_samples(target, samples: FieldSampleSet) -> None:
             )
 
 
-def read_field_samples(source) -> FieldSampleSet:
-    """Read a far-field CSV back into a FieldSampleSet (radians internally)."""
-    with _open_for_read(source) as handle:
-        reader = csv.reader(handle)
-        _check_header(next(reader, None), FIELD_HEADER, "field")
-        dirs = []
-        eth = []
-        eph = []
-        for line_no, row in _rows(reader, 6, "field"):
-            th = _parse_float(row[0], line_no, "theta_deg")
-            ph = _parse_float(row[1], line_no, "phi_deg")
-            if not 0.0 <= th <= 180.0:
-                raise DataError(f"line {line_no}: theta_deg {th!r} outside [0, 180]")
-            dirs.append((np.radians(th), np.radians(ph)))
-            eth.append(complex(_parse_float(row[2], line_no, "re_etheta"),
-                               _parse_float(row[3], line_no, "im_etheta")))
-            eph.append(complex(_parse_float(row[4], line_no, "re_ephi"),
-                               _parse_float(row[5], line_no, "im_ephi")))
-    if not dirs:
+def _field_table(lines):
+    """(P, 6) table of a field CSV in one vectorized parse, or None.
+
+    None means the file is not plainly well formed (no rows, a quoted or
+    non-ASCII cell, a ragged row, theta out of range, ...); the row parser
+    then decides what it holds.
+    """
+    if not any(line.strip() for line in lines[1:]):
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", skiprows=1, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != 6 or not np.all((table[:, 0] >= 0.0) & (table[:, 0] <= 180.0)):
+        return None
+    return table
+
+
+def _field_rows(reader):
+    """(P, 6) table of the field rows after the header, one row at a time.
+
+    Accepts whatever float() accepts and raises the DataError of the first
+    bad line.
+    """
+    table = []
+    for line_no, row in _rows(reader, 6, "field"):
+        th = _parse_float(row[0], line_no, "theta_deg")
+        ph = _parse_float(row[1], line_no, "phi_deg")
+        if not 0.0 <= th <= 180.0:
+            raise DataError(f"line {line_no}: theta_deg {th!r} outside [0, 180]")
+        table.append([th, ph] + [_parse_float(row[k], line_no, FIELD_HEADER[k]) for k in range(2, 6)])
+    if not table:
         raise DataError("line 2: field file has no sample rows")
-    return FieldSampleSet.from_components(np.asarray(dirs, dtype=float), eth, eph)
+    return np.array(table)
+
+
+def read_field_samples(source) -> FieldSampleSet:
+    """Read a far-field CSV back into a FieldSampleSet (radians internally).
+
+    Well-formed files are parsed in one vectorized pass; a file that pass
+    rejects is re-read row by row, which names the bad line or accepts the
+    cells float() takes (quoted, with digit separators) to the same doubles.
+    """
+    with _open_for_read(source) as handle:
+        lines = handle.readlines()
+    reader = csv.reader(lines)
+    _check_header(next(reader, None), FIELD_HEADER, "field")
+    table = _field_table(lines)
+    if table is None:
+        table = _field_rows(reader)
+    # columns re_etheta, im_etheta, re_ephi, im_ephi are the interleaved values
+    values = np.ascontiguousarray(table[:, 2:]).view(complex).reshape(-1)
+    return FieldSampleSet(directions=np.radians(table[:, :2]), values=values)
 
 
 # ---- coupling matrices ---------------------------------------------------

@@ -23,8 +23,9 @@ Least-squares fits on theta-major equiangular grids (each theta row sampled
 at phi_l = 2 pi l / C with C >= 2N+1, such as default_fit_grid) are solved
 one azimuthal order at a time after a DFT over phi (Hansen, Spherical
 Near-Field Antenna Measurements, 1988, ch. 4); samples on any other set of
-directions solve the dense basis. Both paths share the sampling, cutoff and
-rank rules.
+directions solve the dense basis in real arithmetic, on the real form of its
+conjugate mode pairs (ibid., ch. 2). Both paths share the sampling, cutoff
+and rank rules.
 """
 
 from __future__ import annotations
@@ -255,6 +256,19 @@ def _order_block(m, truncation, ratio, tau):
     return block.T, columns
 
 
+def _phased_orders(directions, truncation, orders):
+    """Mode-major K values of each order m in ``orders`` with their flattened columns.
+
+    Yields (m, columns, values), values[k] holding mode columns[k] on the
+    interleaved sample rows; this is the one column layout of both basis
+    builders.
+    """
+    ratio, tau = _angular_tables(truncation, directions[:, 0])
+    for m in orders:
+        block, columns = _order_block(m, truncation, ratio, tau)
+        yield m, np.asarray(columns), block.T * np.repeat(np.exp(1j * m * directions[:, 1]), 2)
+
+
 def basis_matrix(directions, truncation: int) -> np.ndarray:
     """Far-field basis sampled on the given directions.
 
@@ -264,12 +278,61 @@ def basis_matrix(directions, truncation: int) -> np.ndarray:
     """
     dirs = _check_directions(directions)
     trunc = int(truncation)
-    ratio, tau = _angular_tables(trunc, dirs[:, 0])
     out = np.empty((mode_count(trunc), 2 * dirs.shape[0]), dtype=complex)  # mode-major
-    for m in range(-trunc, trunc + 1):
-        block, columns = _order_block(m, trunc, ratio, tau)
-        out[columns] = block.T * np.repeat(np.exp(1j * m * dirs[:, 1]), 2)
+    for _, columns, values in _phased_orders(dirs, trunc, range(-trunc, trunc + 1)):
+        out[columns] = values
     return out.T
+
+
+# j^k = 1 / (-j)^k for k mod 4: undoes the unit factor of an m = 0 mode exactly
+_INVERSE_UNITS = np.array([1.0, 1j, -1.0, -1j])
+
+
+def _conjugate_pairs(truncation):
+    """Column bookkeeping of the real basis in flattened (s, m, n) order.
+
+    Returns (plus, minus, parity, zero, inverse_unit): the columns of the
+    modes with m > 0, the columns of their (s, -m, n) partners, the parity
+    (-1)^(s+m+n) of each pair, the columns with m = 0, and 1/omega for those,
+    omega being (-j)^(n+1) for TE and (-j)^n for TM.
+    """
+    s, m, n = np.array([(i.s, i.m, i.n) for i in index_list(truncation)]).T
+    plus = np.flatnonzero(m > 0)
+    zero = np.flatnonzero(m == 0)
+    parity = (-1.0) ** (s + m + n)[plus]
+    inverse_unit = _INVERSE_UNITS[(n[zero] + (s[zero] == 1)) % 4]
+    return plus, plus - 4 * m[plus], parity, zero, inverse_unit
+
+
+def _real_basis_matrix(directions, truncation):
+    """Real form R = K U of the basis, U unitary, shape (2P, 2N(N+2)).
+
+    The modes come in conjugate pairs, conj K_{s,m,n} = (-1)^(s+m+n)
+    K_{s,-m,n}, so the columns sqrt(2) Re K_m and sqrt(2) Im K_m (m > 0, put
+    in the columns of m and -m) and K_0 / omega (real) span the same space
+    with the same singular values; only orders m = 0..N are evaluated.
+    """
+    *_, inverse_unit = _conjugate_pairs(truncation)
+    out = np.empty((mode_count(truncation), 2 * directions.shape[0]))  # mode-major
+    root2 = np.sqrt(2.0)
+    for m, columns, values in _phased_orders(directions, truncation, range(truncation + 1)):
+        if m == 0:
+            out[columns] = (values * inverse_unit[:, None]).real
+        else:
+            out[columns] = root2 * values.real
+            out[columns - 4 * m] = root2 * values.imag
+    return out.T
+
+
+def _complex_coefficients(x, truncation):
+    """Coefficients q of K from the coefficients x of the real basis."""
+    plus, minus, parity, zero, inverse_unit = _conjugate_pairs(truncation)
+    q = np.empty_like(x)
+    root2 = np.sqrt(2.0)
+    q[plus] = (x[plus] - 1j * x[minus]) / root2
+    q[minus] = parity[:, None] * (x[plus] + 1j * x[minus]) / root2
+    q[zero] = x[zero] * inverse_unit[:, None]
+    return q
 
 
 def eval_spherical_wave_function(index: SweIndex, theta, phi):
@@ -402,7 +465,8 @@ def solve_wave_coefficients(directions, values, truncation: int):
 
     Theta-major equiangular grids (C directions per theta row at
     phi_l = 2 pi l / C, C >= 2N+1) are solved one azimuthal order at a time;
-    every other grid solves the dense (2P x 2N(N+2)) basis.
+    every other grid solves the dense (2P x 2N(N+2)) basis as one real
+    least-squares problem with 2K right-hand sides, on its real form.
 
     Returns
     -------
@@ -424,13 +488,16 @@ def solve_wave_coefficients(directions, values, truncation: int):
     if grid is not None:
         coeffs, misfit = _fit_by_order(*grid, rhs, trunc, rcond)
     else:
-        basis = basis_matrix(dirs, trunc)
-        coeffs, squares, rank, _ = np.linalg.lstsq(basis, rhs, rcond=rcond)
+        # one real problem: R [x_re, x_im] = [Re V, Im V], then q = U x
+        basis = _real_basis_matrix(dirs, trunc)
+        parts = np.concatenate((rhs.real, rhs.imag), axis=1)
+        solution, squares, rank, _ = np.linalg.lstsq(basis, parts, rcond=rcond)
         _require_rank(rank, modes)
-        if squares.size:
-            misfit = np.sqrt(squares)
-        else:  # square system: LAPACK reports no residual
-            misfit = np.linalg.norm(basis @ coeffs - rhs, axis=0)
+        if not squares.size:  # square system: LAPACK reports no residual
+            squares = np.linalg.norm(basis @ solution - parts, axis=0) ** 2
+        fields = rhs.shape[1]
+        misfit = np.sqrt(squares[:fields] + squares[fields:])
+        coeffs = _complex_coefficients(solution[:, :fields] + 1j * solution[:, fields:], trunc)
     norms = np.linalg.norm(rhs, axis=0)
     residuals = np.divide(misfit, norms, out=np.zeros_like(misfit), where=norms > 0.0)
     return coeffs, residuals

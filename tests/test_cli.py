@@ -310,13 +310,11 @@ def test_sweep_without_antennas_anywhere_exits_one(capsys):
     assert main(["sweep", "--spacing", "0.1:0.2:2"]) == 1
 
 
-def test_sweep_output_is_stable_across_thread_caps(tmp_path, capsys, monkeypatch):
+def test_sweep_output_is_identical_from_run_to_run(tmp_path, capsys):
     args = ["sweep", "--antennas", "2", "--spacing", "0.1:0.4:4",
             "--coupling", "synthetic:gamma=0.2,beta=0.7", "--truncation", "8"]
-    monkeypatch.setenv("SUPERDIR_THREADS", "1")
     assert main(args) == 0
     serial = capsys.readouterr().out
-    monkeypatch.setenv("SUPERDIR_THREADS", "4")
     assert main(args) == 0
     assert capsys.readouterr().out == serial
 
@@ -429,7 +427,7 @@ def test_synth_then_estimate_fits_the_read_back_grid_by_order(tmp_path, capsys, 
              "--output-dir", str(workdir)]
     assert main(synth) == 0
     assert "N = 13" in capsys.readouterr().err  # radius 0.4 -> ceil(2 pi 0.4) + 10
-    monkeypatch.setattr(swe, "basis_matrix", refuse)
+    monkeypatch.setattr(swe, "_real_basis_matrix", refuse)
     estimate = ["coupling", "estimate",
                 "--isolated", *(str(workdir / f"isolated_{i}.csv") for i in (1, 2, 3)),
                 "--active", *(str(workdir / f"active_{i}.csv") for i in (1, 2, 3)),
@@ -463,9 +461,9 @@ def test_estimate_on_random_directions_builds_the_dense_basis_once(tmp_path, cap
         for path, field in zip(paths[kind], fields):
             write_field_samples(path, field)
 
-    original = swe.basis_matrix
+    original = swe._real_basis_matrix
     calls = []
-    monkeypatch.setattr(swe, "basis_matrix", lambda *a, **k: calls.append(1) or original(*a, **k))
+    monkeypatch.setattr(swe, "_real_basis_matrix", lambda *a, **k: calls.append(1) or original(*a, **k))
     estimate = ["coupling", "estimate", "--isolated", *paths["isolated"],
                 "--active", *paths["active"], "--truncation", "8",
                 "--output", str(tmp_path / "c.csv")]

@@ -18,6 +18,7 @@ from superdir import (
     write_coupling,
     write_field_samples,
 )
+from superdir import fileio
 from superdir.fileio import SWEEP_HEADER, sweep_rows_to_csv, write_sweep_rows
 from superdir.sweep import SweepRow
 
@@ -125,6 +126,89 @@ def test_field_blank_lines_are_ignored():
     )
     field = read_field_samples(io.StringIO(text))
     assert field.directions.shape == (2, 2)
+
+
+FIELD_HEADER_LINE = "theta_deg,phi_deg,re_etheta,im_etheta,re_ephi,im_ephi\n"
+
+
+def _row_route(monkeypatch):
+    """Send every field read through the row parser."""
+    monkeypatch.setattr(fileio, "_field_table", lambda lines: None)
+
+
+def _spy_vectorized_route(monkeypatch):
+    """Record what the vectorized parse returned for each read."""
+    seen = []
+    original = fileio._field_table
+    monkeypatch.setattr(fileio, "_field_table", lambda lines: seen.append(original(lines)) or seen[-1])
+    return seen
+
+
+def test_field_vectorized_and_row_reads_agree_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(84)
+    text = _round_trip(write_field_samples, read_field_samples, _random_field(rng, rows=500))[0]
+    seen = _spy_vectorized_route(monkeypatch)
+    fast = read_field_samples(io.StringIO(text))
+    assert seen[0] is not None
+    _row_route(monkeypatch)
+    slow = read_field_samples(io.StringIO(text))
+    assert fast.directions.tobytes() == slow.directions.tobytes()
+    assert fast.values.tobytes() == slow.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "body, plain",
+    [
+        ('"10",0,"1",0,0,0\n20,0,0,0,1,0\n', "10,0,1,0,0,0\n20,0,0,0,1,0\n"),  # quoted cells
+        ("1_0,0,1,0,0,0\n20,0,0,0,1_0.5,0\n", "10,0,1,0,0,0\n20,0,0,0,10.5,0\n"),  # separators
+    ],
+)
+def test_field_cells_float_accepts_fall_back_to_the_same_doubles(body, plain, tmp_path, monkeypatch):
+    paths = [tmp_path / "fallback.csv", tmp_path / "plain.csv"]
+    for path, rows in zip(paths, (body, plain)):
+        path.write_bytes((FIELD_HEADER_LINE + rows).encode())
+    seen = _spy_vectorized_route(monkeypatch)
+    fallback, expected = (read_field_samples(path) for path in paths)
+    assert seen[0] is None and seen[1] is not None
+    assert fallback.directions.tobytes() == expected.directions.tobytes()
+    assert fallback.values.tobytes() == expected.values.tobytes()
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+def test_field_files_with_any_line_ending_read_the_same_doubles(ending, tmp_path, monkeypatch):
+    rows = ["10,0,1,0,0,0", "20,0,0,0,1,0"]
+    path = tmp_path / "field.csv"
+    path.write_bytes(ending.join([FIELD_HEADER_LINE.strip(), *rows, ""]).encode())
+    expected = read_field_samples(io.StringIO(FIELD_HEADER_LINE + "\n".join(rows) + "\n"))
+    fast = read_field_samples(path)
+    _row_route(monkeypatch)
+    for field in (fast, read_field_samples(path)):
+        assert field.directions.tobytes() == expected.directions.tobytes()
+        assert field.values.tobytes() == expected.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("", "line 2: field file has no sample rows"),
+        ("\n\n", "line 2: field file has no sample rows"),
+        ("10,0,1,0,0,0\n   \n", "line 3: field row has 1 fields, expected 6"),
+        ("10,0,1,0,0\n", "line 2: field row has 5 fields, expected 6"),
+        ("10,0,1,0,0,0\n20,0,1,0,0,0,\n", "line 3: field row has 7 fields, expected 6"),
+        ("10,0,1,0,0,0\n20,0,oops,0,0,0\n", "line 3: column 're_etheta' is not a number: 'oops'"),
+        ("10,0,1,,0,0\n", "line 2: column 'im_etheta' is not a number: ''"),
+        ("-0.5,0,1,0,0,0\n", "line 2: theta_deg -0.5 outside [0, 180]"),
+        ("10,0,1,0,0,0\nnan,0,1,0,0,0\n", "line 3: theta_deg nan outside [0, 180]"),
+        # the first bad line wins, whatever comes after it
+        ("180.5,0,oops,0,0,0\n10,0\n", "line 2: theta_deg 180.5 outside [0, 180]"),
+    ],
+)
+def test_field_rejections_fall_back_to_the_exact_row_error(body, message, monkeypatch):
+    seen = _spy_vectorized_route(monkeypatch)
+    with pytest.raises(DataError) as info:
+        read_field_samples(io.StringIO(FIELD_HEADER_LINE + body))
+    assert str(info.value) == message
+    assert seen == [None]
 
 
 # ---- coupling matrices --------------------------------------------------------

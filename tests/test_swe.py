@@ -351,13 +351,13 @@ def _shuffled(rng, grid, values):
 
 def _count_dense_builds(monkeypatch):
     calls = []
-    dense = swe.basis_matrix
+    dense = swe._real_basis_matrix
 
     def counting(*args, **kwargs):
         calls.append(1)
         return dense(*args, **kwargs)
 
-    monkeypatch.setattr(swe, "basis_matrix", counting)
+    monkeypatch.setattr(swe, "_real_basis_matrix", counting)
     return calls
 
 
@@ -460,3 +460,71 @@ def test_grids_off_the_equiangular_layout_take_the_dense_path(phi, monkeypatch):
     reference, reference_res = solve_wave_coefficients(shuffled_grid, shuffled_values, truncation)
     assert np.max(np.abs(coefficients - reference)) < 1e-12 * np.max(np.abs(reference))
     np.testing.assert_allclose(residuals, reference_res, rtol=0.0, atol=1e-12)
+
+
+# ---- dense fit in real arithmetic ------------------------------------------------
+
+
+def _random_directions(rng, count):
+    return np.column_stack((np.arccos(rng.uniform(-1.0, 1.0, count)), rng.uniform(0.0, 2.0 * np.pi, count)))
+
+
+def _complex_reference(directions, values, truncation):
+    """The complex dense fit: lstsq on basis_matrix under the module's cutoff rule."""
+    basis = basis_matrix(directions, truncation)
+    rcond = max(basis.shape) * np.finfo(float).eps
+    coefficients, _, rank, _ = np.linalg.lstsq(basis, values, rcond=rcond)
+    misfit = np.linalg.norm(basis @ coefficients - values, axis=0)
+    return coefficients, misfit / np.linalg.norm(values, axis=0), rank
+
+
+@pytest.mark.parametrize("truncation", [1, 4, 9])
+def test_modes_come_in_exact_conjugate_pairs(truncation):
+    directions = _random_directions(np.random.default_rng(70 + truncation), 300)
+    basis = basis_matrix(directions, truncation)
+    indices = index_list(truncation)
+    column = {(i.s, i.m, i.n): k for k, i in enumerate(indices)}
+    for k, i in enumerate(indices):
+        partner = basis[:, column[(i.s, -i.m, i.n)]]
+        assert np.array_equal(np.conj(basis[:, k]), (-1.0) ** (i.s + i.m + i.n) * partner)
+
+
+@pytest.mark.parametrize("truncation", [1, 4, 9])
+def test_dense_fit_matches_the_complex_least_squares(truncation):
+    rng = np.random.default_rng(80 + truncation)
+    directions = _random_directions(rng, 3 * mode_count(truncation))
+    values = _noisy_fields(rng, directions, truncation, count=4)
+    values[:, 1] = values[:, 1].real  # a purely real field
+    values[:, 2] = 1j * values[:, 2].imag  # and a purely imaginary one
+    coefficients, residuals = solve_wave_coefficients(directions, values, truncation)
+    reference, reference_res, _ = _complex_reference(directions, values, truncation)
+    assert np.max(np.abs(coefficients - reference)) <= 1e-12 * np.max(np.abs(reference))
+    np.testing.assert_allclose(residuals, reference_res, rtol=1e-12, atol=0.0)
+
+
+def test_rank_deficient_random_directions_report_the_complex_rank():
+    truncation = 4
+    rng = np.random.default_rng(90)
+    theta = np.repeat([0.6, 2.1], 40)
+    directions = np.column_stack((theta, rng.uniform(0.0, 2.0 * np.pi, theta.size)))
+    values = rng.standard_normal((2 * theta.size, 2)) + 1j * rng.standard_normal((2 * theta.size, 2))
+    _, _, rank = _complex_reference(directions, values, truncation)
+    assert rank < mode_count(truncation)
+    with pytest.raises(ConditioningError) as info:
+        solve_wave_coefficients(directions, values, truncation)
+    assert info.value.effective_rank == rank
+
+
+def test_square_dense_fit_reports_its_residual():
+    truncation = 2
+    rng = np.random.default_rng(91)
+    directions = _random_directions(rng, mode_count(truncation) // 2)  # 2P = 2N(N+2)
+    values = rng.standard_normal((2 * directions.shape[0], 2)) + 1j * rng.standard_normal(
+        (2 * directions.shape[0], 2)
+    )
+    coefficients, residuals = solve_wave_coefficients(directions, values, truncation)
+    reference, reference_res, _ = _complex_reference(directions, values, truncation)
+    assert residuals.shape == (2,)
+    np.testing.assert_allclose(residuals, reference_res, rtol=0.0, atol=1e-12)
+    assert np.all(residuals < 1e-10)
+    assert np.max(np.abs(coefficients - reference)) <= 1e-10 * np.max(np.abs(reference))

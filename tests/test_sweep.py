@@ -232,13 +232,11 @@ def test_compensation_restores_the_optimum_across_a_synthetic_sweep():
         assert np.isfinite(row.condition_number)
 
 
-def test_sweep_csv_is_identical_for_any_worker_count(monkeypatch):
+def test_sweep_csv_is_identical_for_any_worker_count():
     spec = _small_sweep(
         coupling_source="synthetic:gamma=0.2,beta=0.7", truncation=8, efficiency=0.96
     )
-    monkeypatch.delenv("SUPERDIR_THREADS", raising=False)
     serial = sweep_rows_to_csv(run_sweep(spec, threads=1))
     pooled = sweep_rows_to_csv(run_sweep(spec, threads=4))
     assert serial == pooled
-    monkeypatch.setenv("SUPERDIR_THREADS", "2")
     assert sweep_rows_to_csv(run_sweep(spec)) == serial
