@@ -8,7 +8,12 @@ every output byte-identical:
 Digested groups, one line each: spacing-sweep CSVs (identity, file and
 synthetic coupling), ``superdir beamform`` stdout, ``superdir sweep --help``,
 gain-optimal excitations, ``radiation.directivity`` values, error messages,
-and ill-conditioning warnings. Uses only the public API and the CLI.
+ill-conditioning warnings, and, through the CLI alone: ``superdir impedance``
+CSVs, ``beamform --output`` files and ``--loading`` runs, ``sweep --output``
+files, ``coupling synth`` files, ``coupling estimate`` CSVs on that testbed,
+``swe fit`` CSVs and the ``--help`` of every command. Uses only the public
+API and the CLI; every CLI group also records exit codes and stderr, with the
+scratch directory's path replaced by ``<work>``.
 """
 
 from __future__ import annotations
@@ -44,13 +49,35 @@ def _floats(values) -> bytes:
     return np.ascontiguousarray(np.asarray(values, dtype=complex)).tobytes()
 
 
-def _run_cli(argv):
+def _run_cli(argv, workdir=None):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main(argv)
-    return f"{code}\n{out.getvalue()}\n{err.getvalue()}"
+    text = f"{code}\n{out.getvalue()}\n{err.getvalue()}"
+    return text.replace(workdir, "<work>") if workdir else text
+
+
+def _files(paths) -> list:
+    """Name and bytes of each file, sorted by name; missing files read as absent."""
+    parts = []
+    for path in sorted(paths):
+        parts.append(os.path.basename(path))
+        if os.path.exists(path):
+            with open(path, "rb") as handle:
+                parts.append(handle.read())
+        else:
+            parts.append("absent")
+    return parts
+
+
+def _synth(workdir, name, *flags):
+    """Run ``coupling synth`` into workdir/name; returns (output dir, digest parts)."""
+    out_dir = os.path.join(workdir, name)
+    run = _run_cli(["coupling", "synth", *flags, "--output-dir", out_dir], workdir)
+    files = [os.path.join(out_dir, f) for f in os.listdir(out_dir)] if os.path.isdir(out_dir) else []
+    return out_dir, [run, *_files(files)]
 
 
 def _sweep_csv(**fields) -> str:
@@ -201,10 +228,139 @@ def ill_conditioning_warnings(workdir):
     return f"{len(parts)} warnings", _digest(parts)
 
 
+def impedance_csv(workdir):
+    target = os.path.join(workdir, "z.csv")
+    parts = []
+    for flags in (
+        ["--antennas", "3", "--spacing", "0.2"],
+        ["--antennas", "4", "--spacing", "0.1", "--pattern", "half-wave-dipole", "--loading", "0.01"],
+        ["--antennas", "2", "--spacing-m", "0.05", "--pattern", "hertzian-dipole", "--certified",
+         "--quadrature-theta", "32", "--quadrature-phi", "64"],
+        ["--antennas", "4", "--spacing", "0.5", "--certified", "--quadrature-theta", "4",
+         "--quadrature-phi", "8"],
+        ["--antennas", "2", "--spacing", "0.1", "--loading", "-1"],
+    ):
+        parts.append(_run_cli(["impedance", *flags], workdir))
+    parts.append(_run_cli(["impedance", "--antennas", "5", "--spacing", "0.12", "--pattern",
+                           "half-wave-dipole", "--output", target], workdir))
+    parts += _files([target])
+    return f"{len(parts)} parts", _digest(parts)
+
+
+def beamform_files(workdir):
+    testbed, _ = _synth(workdir, "bf", "--antennas", "3", "--spacing", "0.2", "--gamma", "0.3",
+                        "--beta", "1.1")
+    truth = os.path.join(testbed, "coupling_true.csv")
+    target = os.path.join(workdir, "b.csv")
+    parts = []
+    for flags in (
+        ["--antennas", "4", "--spacing", "0.15", "--pattern", "half-wave-dipole", "--theta0", "20",
+         "--output", target],
+        ["--antennas", "6", "--spacing", "0.05", "--loading", "0.001", "--efficiency", "0.7",
+         "--output", target],
+        ["--antennas", "3", "--spacing", "0.2", "--theta0", "40", "--phi0", "15",
+         "--coupling", f"file:{truth}", "--loading", "0.01", "--output", target],
+        ["--antennas", "3", "--spacing", "0.2", "--coupling", "synthetic:gamma=0.3,beta=1.1",
+         "--truncation", "8", "--output", target],
+        ["--antennas", "2", "--spacing", "0.1", "--theta0", "200", "--output", target],
+        ["--antennas", "2", "--spacing", "0.1", "--pattern", "hertzian-dipole", "--theta0", "90",
+         "--output", target],
+    ):
+        if os.path.exists(target):
+            os.remove(target)
+        parts.append(_run_cli(["beamform", *flags], workdir))
+        parts += _files([target])
+    return f"{len(parts)} parts", _digest(parts)
+
+
+def sweep_files(workdir):
+    singular = os.path.join(workdir, "ones.csv")
+    with open(singular, "w") as handle:
+        handle.write("row,col,re,im\n1,1,1,0\n1,2,1,0\n2,1,1,0\n2,2,1,0\n")
+    config = os.path.join(workdir, "run.cfg")
+    with open(config, "w") as handle:
+        handle.write("antennas = 4\npattern = half-wave-dipole\ntheta0_deg = 30\nefficiency = 0.9\n")
+    target = os.path.join(workdir, "s.csv")
+    parts = []
+    for flags in (
+        ["--antennas", "3", "--spacing", "0.05:0.4:5", "--pattern", "hertzian-dipole"],
+        ["--antennas", "2", "--spacing", "0.2:0.3:2", "--coupling", f"file:{singular}"],
+        ["--config", config, "--spacing", "0.1:0.3:3"],
+        ["--antennas", "3", "--spacing", "0.1:0.3:3", "--coupling", "synthetic:gamma=0.3,beta=1.1",
+         "--truncation", "9"],
+        ["--antennas", "12", "--spacing", "0.02:0.05:2"],
+    ):
+        if os.path.exists(target):
+            os.remove(target)
+        parts.append(_run_cli(["sweep", *flags, "--output", target], workdir))
+        parts += _files([target])
+    return f"{len(parts)} parts", _digest(parts)
+
+
+def coupling_synth(workdir):
+    parts = []
+    for name, flags in (
+        ("s1", ["--antennas", "3", "--spacing", "0.2", "--gamma", "0.3", "--beta", "1.1"]),
+        ("s2", ["--antennas", "2", "--spacing-m", "0.07", "--pattern", "half-wave-dipole",
+                "--gamma", "0.5", "--beta", "-0.4", "--truncation", "6"]),
+        ("s3", ["--antennas", "2", "--spacing", "0.2", "--gamma", "0.3", "--beta", "1",
+                "--truncation", "0"]),
+        ("s4", ["--antennas", "2", "--spacing", "0.2", "--gamma", "1.5", "--beta", "1"]),
+    ):
+        parts += _synth(workdir, name, *flags)[1]
+    return f"{len(parts)} parts", _digest(parts)
+
+
+def coupling_estimate(workdir):
+    testbed, parts = _synth(workdir, "est", "--antennas", "3", "--spacing", "0.2", "--gamma",
+                            "0.3", "--beta", "1.1", "--pattern", "hertzian-dipole")
+    isolated = [os.path.join(testbed, f"isolated_{i}.csv") for i in (1, 2, 3)]
+    active = [os.path.join(testbed, f"active_{i}.csv") for i in (1, 2, 3)]
+    target = os.path.join(workdir, "c.csv")
+    fields = ["--isolated", *isolated, "--active", *active]
+    for flags in (
+        ["--truncation", "8"],
+        ["--spacing", "0.2"],
+        ["--spacing-m", "0.07", "--frequency", "900e6"],
+        ["--radius", "0.4", "--output", target],
+        [],
+        ["--truncation", "1"],
+    ):
+        parts.append(_run_cli(["coupling", "estimate", *fields, *flags], workdir))
+    parts.append(_run_cli(["coupling", "estimate", "--isolated", *isolated, "--active",
+                           *active[:2], "--truncation", "8"], workdir))
+    parts += _files([target])
+    return f"{len(parts)} parts", _digest(parts)
+
+
+def swe_fit(workdir):
+    testbed, parts = _synth(workdir, "fit", "--antennas", "2", "--spacing", "0.25", "--gamma",
+                            "0.4", "--beta", "0.3", "--pattern", "half-wave-dipole")
+    target = os.path.join(workdir, "q.csv")
+    for flags in (
+        ["--input", os.path.join(testbed, "isolated_2.csv"), "--truncation", "5"],
+        ["--input", os.path.join(testbed, "active_1.csv"), "--radius", "0.3", "--output", target],
+        ["--input", os.path.join(testbed, "active_2.csv")],
+        ["--input", os.path.join(testbed, "missing.csv"), "--truncation", "3"],
+    ):
+        parts.append(_run_cli(["swe", "fit", *flags], workdir))
+    parts += _files([target])
+    return f"{len(parts)} parts", _digest(parts)
+
+
+def help_texts(workdir):
+    commands = ([], ["impedance"], ["beamform"], ["sweep"], ["swe"], ["swe", "fit"], ["coupling"],
+                ["coupling", "estimate"], ["coupling", "synth"])
+    parts = [_run_cli([*command, "--help"]) for command in commands]
+    return f"{len(parts)} runs", _digest(parts)
+
+
 def main() -> int:
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help text to the terminal width
     with tempfile.TemporaryDirectory() as workdir:
         for group in (sweeps, beamform_stdout, sweep_help, gain_optimal, radiation_directivity,
-                      errors, ill_conditioning_warnings):
+                      errors, ill_conditioning_warnings, impedance_csv, beamform_files,
+                      sweep_files, coupling_synth, coupling_estimate, swe_fit, help_texts):
             what, digest = group(workdir)
             print(f"{group.__name__:26s} {digest}  ({what})")
     return 0

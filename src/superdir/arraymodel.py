@@ -32,7 +32,7 @@ def radial_unit_vector(theta, phi):
 
 def _check_theta(theta):
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0.0) or np.any(theta > np.pi):
+    if not np.all((theta >= 0.0) & (theta <= np.pi)):
         raise DomainError("theta must lie in [0, pi]")
     return theta
 
@@ -253,12 +253,10 @@ class SteeringVector:
     """
 
     values: np.ndarray
-    direction: tuple
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex).reshape(-1)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "direction", (float(self.direction[0]), float(self.direction[1])))
 
     def __len__(self):
         return self.values.size
@@ -274,7 +272,7 @@ def steering_vector(geometry: ArrayGeometry, pattern: ElementPattern, theta: flo
     pattern : ElementPattern
         Common element pattern (identical elements).
     theta, phi : float
-        Spherical direction in radians, 0 <= theta <= pi.
+        Spherical direction in radians, 0 <= theta <= pi and phi finite.
 
     Returns
     -------
@@ -283,9 +281,11 @@ def steering_vector(geometry: ArrayGeometry, pattern: ElementPattern, theta: flo
     """
     theta = float(_check_theta(theta))
     phi = float(phi)
+    if not np.isfinite(phi):
+        raise DomainError("phi must be finite")
     k_val = pattern.evaluate(theta, phi)
     phase = np.exp(1j * WAVE_NUMBER * np.cos(theta) * geometry.z_positions)
-    return SteeringVector(values=k_val * phase, direction=(theta, phi))
+    return SteeringVector(values=k_val * phase)
 
 
 def evaluate_array_pattern(geometry: ArrayGeometry, pattern: ElementPattern, excitation, theta, phi):

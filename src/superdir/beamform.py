@@ -39,15 +39,11 @@ class BeamformingSolution:
 
     excitation: np.ndarray
     directivity: float
-    direction: tuple
-    mode: str
     condition_number: float
     loss_resistance: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "excitation", np.asarray(self.excitation, dtype=complex).reshape(-1))
-        if self.mode not in ("uncoupled", "coupled"):
-            raise DomainError(f"unknown beamforming mode {self.mode!r}")
 
 
 def _check_sizes(impedance: ImpedanceMatrix, steering: SteeringVector, coupling: CouplingMatrix | None = None):
@@ -118,8 +114,6 @@ def _compensated(impedance, coupling, steering, x, r_loss=0.0) -> BeamformingSol
     return BeamformingSolution(
         excitation=b,
         directivity=coupled_directivity(impedance, coupling, steering, b),
-        direction=steering.direction,
-        mode="coupled",
         condition_number=impedance.condition_number,
         loss_resistance=r_loss,
     )
@@ -143,8 +137,6 @@ def optimal_beamforming(impedance: ImpedanceMatrix, steering: SteeringVector) ->
     return BeamformingSolution(
         excitation=x / np.sqrt(dmax),
         directivity=dmax,
-        direction=steering.direction,
-        mode="uncoupled",
         condition_number=impedance.condition_number,
     )
 

@@ -14,23 +14,9 @@ import sys
 import typing
 
 from . import fileio
-from .arraymodel import ArrayGeometry, ElementPattern, steering_vector
-from .beamform import (
-    coupled_beamforming,
-    coupled_directivity,
-    gain,
-    loss_resistance,
-    optimal_beamforming,
-)
-from .coupling import (
-    ElementFieldLibrary,
-    build_coefficient_set,
-    coupling_fixture,
-    default_truncation,
-    estimate_coupling,
-    isolated_fields_synthetic,
-    synthesize_coupled_fields,
-)
+from .arraymodel import ArrayGeometry, ElementPattern
+from .beamform import loss_resistance
+from .coupling import ElementFieldLibrary, default_truncation, fixture_testbed
 from .errors import (
     AccuracyError,
     ConditioningError,
@@ -44,8 +30,8 @@ from .errors import (
     SuperdirError,
 )
 from .radiation import SphereQuadrature, impedance_matrix
-from .swe import default_fit_grid, fit_wave_coefficients, truncation_degree
-from .sweep import SweepSpec, parse_coupling_source, run_sweep
+from .swe import fit_wave_coefficients, truncation_degree
+from .sweep import SweepSpec, evaluate_point, parse_coupling_source, run_sweep
 
 SPEED_OF_LIGHT = 299792458.0
 DEFAULT_FREQUENCY = 845e6  # Hz; used only to convert meter-denominated inputs
@@ -85,10 +71,9 @@ def _resolve_spacing(args) -> float:
     return args.spacing
 
 
-def _add_geometry_flags(parser, spacing_required=True):
-    parser.add_argument("--antennas", type=int, required=True, help="number of array elements")
-    group = parser.add_mutually_exclusive_group(required=spacing_required)
-    group.add_argument("--spacing", type=float, help="element spacing in wavelengths")
+def _add_spacing_flags(parser, required=True, spacing_help="element spacing in wavelengths"):
+    group = parser.add_mutually_exclusive_group(required=required)
+    group.add_argument("--spacing", type=float, help=spacing_help)
     group.add_argument("--spacing-m", type=float, help="element spacing in meters (see --frequency)")
     parser.add_argument(
         "--frequency",
@@ -96,6 +81,11 @@ def _add_geometry_flags(parser, spacing_required=True):
         default=DEFAULT_FREQUENCY,
         help="frequency in Hz used only to convert meter-denominated inputs (default 845 MHz)",
     )
+
+
+def _add_geometry_flags(parser):
+    parser.add_argument("--antennas", type=int, required=True, help="number of array elements")
+    _add_spacing_flags(parser)
 
 
 def _add_pattern_flag(parser):
@@ -116,10 +106,6 @@ def _quadrature(args) -> SphereQuadrature:
     return SphereQuadrature.gauss_legendre(args.quadrature_theta, args.quadrature_phi)
 
 
-def _output_or_stdout(args):
-    return args.output if args.output else sys.stdout
-
-
 # ---- impedance -------------------------------------------------------------
 
 
@@ -129,17 +115,7 @@ def _cmd_impedance(args) -> int:
     matrix = impedance_matrix(
         geometry, pattern, _quadrature(args), loading=args.loading, certified=args.certified
     )
-    target = _output_or_stdout(args)
-    close = not hasattr(target, "write")
-    handle = open(target, "w", newline="") if close else target
-    try:
-        handle.write("row,col,value\n")
-        for r in range(matrix.size):
-            for c in range(matrix.size):
-                handle.write(f"{r + 1},{c + 1},{format(matrix.values[r, c], '.17g')}\n")
-    finally:
-        if close:
-            handle.close()
+    fileio.write_impedance(args.output or sys.stdout, matrix)
     print(f"cond(Z) = {_fmt4(matrix.condition_number)}", file=sys.stderr)
     return 0
 
@@ -157,34 +133,34 @@ def _cmd_beamform(args) -> int:
         pattern=pattern,
         truncation=args.truncation or 0,
     )
-    impedance = impedance_matrix(geometry, pattern, _quadrature(args), loading=args.loading)
-    steering = steering_vector(geometry, pattern, math.radians(args.theta0), math.radians(args.phi0))
-
-    uncoupled = optimal_beamforming(impedance, steering)
-    d_trad = coupled_directivity(impedance, coupling, steering, uncoupled.excitation)
-    compensated = coupled_beamforming(impedance, coupling, steering)
-    g = gain(impedance, coupling, steering, compensated.excitation, args.efficiency)
+    row, excitation = evaluate_point(
+        geometry,
+        pattern,
+        _quadrature(args),
+        coupling,
+        math.radians(args.theta0),
+        math.radians(args.phi0),
+        args.efficiency,
+        loading=args.loading,
+    )
 
     print(f"antennas        {geometry.element_count}")
     print(f"spacing         {_fmt4(geometry.spacing)} wavelengths")
     print(f"pattern         {args.pattern}")
     print(f"direction       theta0={_fmt4(args.theta0)} deg  phi0={_fmt4(args.phi0)} deg")
-    print(f"cond(Z)         {_fmt4(impedance.condition_number)}")
-    print(f"D_max           {_fmt4(uncoupled.directivity)}  ({_dbi(uncoupled.directivity)} dBi)")
-    print(f"D_traditional   {_fmt4(d_trad)}  ({_dbi(d_trad)} dBi)")
-    print(f"D_coupled       {_fmt4(compensated.directivity)}  ({_dbi(compensated.directivity)} dBi)")
-    print(f"gain            {_fmt4(g)}  ({_dbi(g)} dBi)  at efficiency {_fmt4(args.efficiency)}")
+    print(f"cond(Z)         {_fmt4(row.condition_number)}")
+    print(f"D_max           {_fmt4(row.dmax)}  ({_dbi(row.dmax)} dBi)")
+    print(f"D_traditional   {_fmt4(row.d_traditional)}  ({_dbi(row.d_traditional)} dBi)")
+    print(f"D_coupled       {_fmt4(row.d_coupled)}  ({_dbi(row.d_coupled)} dBi)")
+    print(f"gain            {_fmt4(row.gain)}  ({_dbi(row.gain)} dBi)  at efficiency {_fmt4(args.efficiency)}")
     print(f"r_loss          {_fmt4(loss_resistance(args.efficiency))}")
     print("port excitation (unit radiated power):")
-    for i, b in enumerate(compensated.excitation, start=1):
+    for i, b in enumerate(excitation, start=1):
         mag = abs(b)
         ph = math.degrees(math.atan2(b.imag, b.real))
         print(f"  {i:2d}  {_fmt4(b.real):>12} {_fmt4(b.imag):>12}j   |b|={_fmt4(mag)}  arg={_fmt4(ph)} deg")
     if args.output:
-        with open(args.output, "w", newline="") as handle:
-            handle.write("element,re,im\n")
-            for i, b in enumerate(compensated.excitation, start=1):
-                handle.write(f"{i},{format(b.real, '.17g')},{format(b.imag, '.17g')}\n")
+        fileio.write_excitation(args.output, excitation)
         print(f"excitation written to {args.output}", file=sys.stderr)
     return 0
 
@@ -243,12 +219,7 @@ def _spec_from_config_and_flags(args) -> SweepSpec:
 def _cmd_sweep(args) -> int:
     spec = _spec_from_config_and_flags(args)
     rows = run_sweep(spec)
-    text = fileio.sweep_rows_to_csv(rows)
-    if args.output:
-        with open(args.output, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    fileio.write_sweep_rows(args.output or sys.stdout, rows)
     flagged = [row for row in rows if row.note]
     for row in flagged:
         print(f"flagged spacing {_fmt4(row.spacing)}: {row.note}", file=sys.stderr)
@@ -272,7 +243,7 @@ def _cmd_swe_fit(args) -> int:
     samples = fileio.read_field_samples(args.input)
     trunc = _resolve_truncation(args)
     coeffs = fit_wave_coefficients(samples, trunc)
-    fileio.write_coefficients(_output_or_stdout(args), coeffs)
+    fileio.write_coefficients(args.output or sys.stdout, coeffs)
     print(
         f"truncation N = {trunc}, relative residual = {coeffs.residual:.3e}",
         file=sys.stderr,
@@ -299,10 +270,8 @@ def _cmd_coupling_estimate(args) -> int:
         trunc = default_truncation(ArrayGeometry(library.element_count, _resolve_spacing(args)))
     else:
         trunc = _resolve_truncation(args)
-    m = library.element_count
-    coeffs = build_coefficient_set(library.isolated + library.active, trunc)  # one shared grid
-    estimate = estimate_coupling(coeffs[:, :m], coeffs[:, m:])
-    fileio.write_coupling(_output_or_stdout(args), estimate)
+    estimate = library.estimate(trunc)
+    fileio.write_coupling(args.output or sys.stdout, estimate)
     print(
         f"truncation N = {trunc}, estimation residual = {estimate.estimation_residual:.3e}",
         file=sys.stderr,
@@ -315,24 +284,16 @@ def _cmd_coupling_synth(args) -> int:
 
     geometry = ArrayGeometry(args.antennas, _resolve_spacing(args))
     pattern = ElementPattern.from_kind(args.pattern)
-    fixture = coupling_fixture(geometry.element_count, args.gamma, args.beta)
-    trunc = args.truncation if args.truncation is not None else default_truncation(geometry)
-    grid = default_fit_grid(trunc)
-    isolated = isolated_fields_synthetic(geometry, pattern, grid)
-    active = synthesize_coupled_fields(isolated, fixture)
+    trunc, fixture, isolated, active = fixture_testbed(
+        geometry, pattern, args.gamma, args.beta, args.truncation
+    )
     os.makedirs(args.output_dir, exist_ok=True)
-    written = []
     for i, (iso, act) in enumerate(zip(isolated, active), start=1):
-        iso_path = os.path.join(args.output_dir, f"isolated_{i}.csv")
-        act_path = os.path.join(args.output_dir, f"active_{i}.csv")
-        fileio.write_field_samples(iso_path, iso)
-        fileio.write_field_samples(act_path, act)
-        written.extend((iso_path, act_path))
-    truth_path = os.path.join(args.output_dir, "coupling_true.csv")
-    fileio.write_coupling(truth_path, fixture)
-    written.append(truth_path)
+        fileio.write_field_samples(os.path.join(args.output_dir, f"isolated_{i}.csv"), iso)
+        fileio.write_field_samples(os.path.join(args.output_dir, f"active_{i}.csv"), act)
+    fileio.write_coupling(os.path.join(args.output_dir, "coupling_true.csv"), fixture)
     print(
-        f"wrote {len(written)} files to {args.output_dir} (grid {2 * trunc + 2}x{4 * trunc + 4}, N = {trunc})",
+        f"wrote {2 * len(isolated) + 1} files to {args.output_dir} (grid {2 * trunc + 2}x{4 * trunc + 4}, N = {trunc})",
         file=sys.stderr,
     )
     return 0
@@ -411,15 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--active", nargs="+", required=True, help="active element field CSVs")
     p_est.add_argument("--truncation", type=int, help="expansion order N")
     p_est.add_argument("--radius", type=float, help="enclosing radius in wavelengths (sets N)")
-    group = p_est.add_mutually_exclusive_group()
-    group.add_argument("--spacing", type=float, help="element spacing in wavelengths (sets N)")
-    group.add_argument("--spacing-m", type=float, help="element spacing in meters (see --frequency)")
-    p_est.add_argument(
-        "--frequency",
-        type=float,
-        default=DEFAULT_FREQUENCY,
-        help="frequency in Hz used only to convert meter-denominated inputs (default 845 MHz)",
-    )
+    _add_spacing_flags(p_est, required=False, spacing_help="element spacing in wavelengths (sets N)")
     p_est.add_argument("--output", help="coupling CSV destination (default stdout)")
     p_est.set_defaults(handler=_cmd_coupling_estimate)
 

@@ -26,6 +26,7 @@ from .arraymodel import WAVE_NUMBER, ArrayGeometry, ElementPattern, evaluate_arr
 from .errors import DegenerateGeometryError, DimensionError, DomainError
 from .swe import (
     FieldSampleSet,
+    _check_directions,
     default_fit_grid,
     solve_wave_coefficients,
     truncation_degree,
@@ -50,6 +51,8 @@ class CouplingMatrix:
         vals = np.asarray(self.values, dtype=complex)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise DimensionError("coupling matrix must be square")
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("coupling matrix values must be finite")
         if self.source not in COUPLING_SOURCES:
             raise DomainError(f"unknown coupling source {self.source!r}")
         object.__setattr__(self, "values", vals)
@@ -98,9 +101,7 @@ def isolated_fields_synthetic(
     polarization of E_0 follows the element model (see
     ElementPattern.polarized).
     """
-    dirs = np.asarray(directions, dtype=float)
-    if dirs.ndim != 2 or dirs.shape[1] != 2:
-        raise DimensionError("directions must have shape (P, 2)")
+    dirs = _check_directions(directions)
     theta = dirs[:, 0]
     phi = dirs[:, 1]
     e_th, e_ph = pattern.polarized(theta, phi)
@@ -159,6 +160,16 @@ class ElementFieldLibrary:
     def element_count(self) -> int:
         return len(self.isolated)
 
+    def estimate(self, truncation: int) -> CouplingMatrix:
+        """Coupling matrix of these fields at expansion order ``truncation``.
+
+        All 2M fields are fitted in one build_coefficient_set solve on the
+        shared grid, then estimate_coupling solves Qs C = Qc.
+        """
+        m = self.element_count
+        coeffs = build_coefficient_set(self.isolated + self.active, truncation)
+        return estimate_coupling(coeffs[:, :m], coeffs[:, m:])
+
 
 def build_coefficient_set(fields: list, truncation: int) -> np.ndarray:
     """Spherical mode coefficients of several fields on one shared grid.
@@ -210,6 +221,25 @@ def default_truncation(geometry: ArrayGeometry) -> int:
     return truncation_degree(geometry.length / 2.0 + 0.25)
 
 
+def fixture_testbed(
+    geometry: ArrayGeometry,
+    pattern: ElementPattern,
+    gamma: float,
+    beta: float,
+    truncation: int | None = None,
+) -> tuple:
+    """Testbed fields of the parametric fixture: (N, fixture, isolated, active).
+
+    The isolated and active fields of every element sit on the default fit
+    grid of order N; ``truncation`` None selects N by default_truncation.
+    """
+    fixture = coupling_fixture(geometry.element_count, gamma, beta)
+    trunc = default_truncation(geometry) if truncation is None else truncation
+    isolated = isolated_fields_synthetic(geometry, pattern, default_fit_grid(trunc))
+    active = synthesize_coupled_fields(isolated, fixture)
+    return trunc, fixture, isolated, active
+
+
 def estimate_fixture_coupling(
     geometry: ArrayGeometry,
     pattern: ElementPattern,
@@ -219,18 +249,13 @@ def estimate_fixture_coupling(
 ) -> CouplingMatrix:
     """Estimate the parametric fixture back through the full pipeline.
 
-    Synthesizes the fixture's isolated/active testbed fields on the default
-    grid for this geometry and runs the spherical-wave estimation, so the
-    returned matrix is ``estimated`` (it reproduces the fixture up to the
+    Synthesizes the fixture's testbed fields (fixture_testbed; a falsy
+    ``truncation`` is automatic) and runs the spherical-wave estimation, so
+    the returned matrix is ``estimated`` (it reproduces the fixture up to the
     numerical noise of the fit).
     """
-    trunc = truncation if truncation else default_truncation(geometry)
-    grid = default_fit_grid(trunc)
-    isolated = isolated_fields_synthetic(geometry, pattern, grid)
-    fixture = coupling_fixture(geometry.element_count, gamma, beta)
-    active = synthesize_coupled_fields(isolated, fixture)
-    coeffs = build_coefficient_set(isolated + active, trunc)  # one shared grid, one solve
-    return estimate_coupling(coeffs[:, : len(isolated)], coeffs[:, len(isolated) :])
+    trunc, _, isolated, active = fixture_testbed(geometry, pattern, gamma, beta, truncation or None)
+    return ElementFieldLibrary(isolated, active).estimate(trunc)
 
 
 def active_element_pattern(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -21,21 +22,14 @@ from .swe import FieldSampleSet, WaveCoefficientSet, index_list, mode_count
 FIELD_HEADER = ["theta_deg", "phi_deg", "re_etheta", "im_etheta", "re_ephi", "im_ephi"]
 COUPLING_HEADER = ["row", "col", "re", "im"]
 COEFFICIENT_HEADER = ["s", "m", "n", "re", "im"]
+IMPEDANCE_HEADER = ["row", "col", "value"]
+EXCITATION_HEADER = ["element", "re", "im"]
 SWEEP_HEADER = ["spacing", "dmax", "d_traditional", "d_coupled", "gain", "cond_z"]
 
 
 def _fmt(value: float) -> str:
     """Round-trip-safe decimal rendering of a double."""
     return format(float(value), ".17g")
-
-
-@contextmanager
-def _open_for_write(target):
-    if hasattr(target, "write"):
-        yield target
-    else:
-        with open(target, "w", newline="") as handle:
-            yield handle
 
 
 @contextmanager
@@ -47,11 +41,24 @@ def _open_for_read(source):
             yield handle
 
 
-def _parse_float(text, line_no, column):
+def _write_rows(target, header, rows):
+    """Write the header line, then each row of string cells, as CSV to a path or handle."""
+    if not hasattr(target, "write"):
+        with open(target, "w", newline="") as handle:
+            return _write_rows(handle, header, rows)
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def _parse_float(text, line_no, column, finite=True):
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise DataError(f"line {line_no}: column {column!r} is not a number: {text!r}") from exc
+    if finite and not math.isfinite(value):
+        raise DataError(f"line {line_no}: column {column!r} is not finite: {text!r}")
+    return value
 
 
 def _parse_int(text, line_no, column):
@@ -88,22 +95,19 @@ def _rows(reader, expected_width, what):
 
 def write_field_samples(target, samples: FieldSampleSet) -> None:
     """Write a FieldSampleSet as CSV with angles in degrees."""
-    with _open_for_write(target) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(FIELD_HEADER)
-        degrees = np.degrees(samples.directions)
-        for (th, ph), e_th, e_ph in zip(degrees, samples.etheta, samples.ephi):
-            writer.writerow(
-                [_fmt(th), _fmt(ph), _fmt(e_th.real), _fmt(e_th.imag), _fmt(e_ph.real), _fmt(e_ph.imag)]
-            )
+    degrees = np.degrees(samples.directions)
+    _write_rows(target, FIELD_HEADER, (
+        [_fmt(th), _fmt(ph), _fmt(e_th.real), _fmt(e_th.imag), _fmt(e_ph.real), _fmt(e_ph.imag)]
+        for (th, ph), e_th, e_ph in zip(degrees, samples.etheta, samples.ephi)
+    ))
 
 
 def _field_table(lines):
     """(P, 6) table of a field CSV in one vectorized parse, or None.
 
     None means the file is not plainly well formed (no rows, a quoted or
-    non-ASCII cell, a ragged row, theta out of range, ...); the row parser
-    then decides what it holds.
+    non-ASCII cell, a ragged row, a non-finite cell, theta out of range,
+    ...); the row parser then decides what it holds.
     """
     if not any(line.strip() for line in lines[1:]):
         return None
@@ -111,7 +115,9 @@ def _field_table(lines):
         table = np.loadtxt(lines, delimiter=",", skiprows=1, comments=None, ndmin=2)
     except ValueError:
         return None
-    if table.shape[1] != 6 or not np.all((table[:, 0] >= 0.0) & (table[:, 0] <= 180.0)):
+    if table.shape[1] != 6 or not np.all(np.isfinite(table)):
+        return None
+    if not np.all((table[:, 0] >= 0.0) & (table[:, 0] <= 180.0)):
         return None
     return table
 
@@ -119,12 +125,12 @@ def _field_table(lines):
 def _field_rows(reader):
     """(P, 6) table of the field rows after the header, one row at a time.
 
-    Accepts whatever float() accepts and raises the DataError of the first
-    bad line.
+    Accepts whatever float() accepts, if finite, and raises the DataError
+    of the first bad line.
     """
     table = []
     for line_no, row in _rows(reader, 6, "field"):
-        th = _parse_float(row[0], line_no, "theta_deg")
+        th = _parse_float(row[0], line_no, "theta_deg", finite=False)  # range-checked below
         ph = _parse_float(row[1], line_no, "phi_deg")
         if not 0.0 <= th <= 180.0:
             raise DataError(f"line {line_no}: theta_deg {th!r} outside [0, 180]")
@@ -158,14 +164,10 @@ def read_field_samples(source) -> FieldSampleSet:
 
 def write_coupling(target, matrix: CouplingMatrix) -> None:
     """Write a coupling matrix as row,col,re,im triplets (1-based indices)."""
-    with _open_for_write(target) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COUPLING_HEADER)
-        m = matrix.size
-        for r in range(m):
-            for c in range(m):
-                v = matrix.values[r, c]
-                writer.writerow([str(r + 1), str(c + 1), _fmt(v.real), _fmt(v.imag)])
+    _write_rows(target, COUPLING_HEADER, (
+        [str(r + 1), str(c + 1), _fmt(v.real), _fmt(v.imag)]
+        for (r, c), v in np.ndenumerate(matrix.values)
+    ))
 
 
 def read_coupling(source) -> CouplingMatrix:
@@ -197,16 +199,32 @@ def read_coupling(source) -> CouplingMatrix:
     return CouplingMatrix(values=values, source="prescribed")
 
 
+# ---- impedance matrices and excitations -----------------------------------
+
+
+def write_impedance(target, matrix) -> None:
+    """Write an ImpedanceMatrix as row,col,value triplets (1-based indices)."""
+    _write_rows(target, IMPEDANCE_HEADER, (
+        [str(r + 1), str(c + 1), _fmt(v)] for (r, c), v in np.ndenumerate(matrix.values)
+    ))
+
+
+def write_excitation(target, excitation) -> None:
+    """Write port excitations as element,re,im rows (1-based elements)."""
+    _write_rows(target, EXCITATION_HEADER, (
+        [str(i), _fmt(b.real), _fmt(b.imag)] for i, b in enumerate(excitation, start=1)
+    ))
+
+
 # ---- spherical wave coefficients -----------------------------------------
 
 
 def write_coefficients(target, coefficients: WaveCoefficientSet) -> None:
     """Write mode coefficients as s,m,n,re,im rows in flattened mode order."""
-    with _open_for_write(target) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COEFFICIENT_HEADER)
-        for idx, q in zip(index_list(coefficients.truncation), coefficients.coefficients):
-            writer.writerow([str(idx.s), str(idx.m), str(idx.n), _fmt(q.real), _fmt(q.imag)])
+    _write_rows(target, COEFFICIENT_HEADER, (
+        [str(idx.s), str(idx.m), str(idx.n), _fmt(q.real), _fmt(q.imag)]
+        for idx, q in zip(index_list(coefficients.truncation), coefficients.coefficients)
+    ))
 
 
 def read_coefficients(source) -> WaveCoefficientSet:
@@ -249,20 +267,11 @@ def read_coefficients(source) -> WaveCoefficientSet:
 
 def write_sweep_rows(target, rows) -> None:
     """Write sweep rows under the fixed sweep header."""
-    with _open_for_write(target) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SWEEP_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    _fmt(row.spacing),
-                    _fmt(row.dmax),
-                    _fmt(row.d_traditional),
-                    _fmt(row.d_coupled),
-                    _fmt(row.gain),
-                    _fmt(row.condition_number),
-                ]
-            )
+    _write_rows(target, SWEEP_HEADER, (
+        [_fmt(r.spacing), _fmt(r.dmax), _fmt(r.d_traditional), _fmt(r.d_coupled), _fmt(r.gain),
+         _fmt(r.condition_number)]
+        for r in rows
+    ))
 
 
 def sweep_rows_to_csv(rows) -> str:

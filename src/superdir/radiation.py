@@ -205,7 +205,7 @@ def impedance_matrix(
         Real symmetric matrix with its condition number attached, factored as
         the QR ``r`` of [B; sqrt(loading) I] for B the weighted phases.
     """
-    if loading < 0.0:
+    if not loading >= 0.0:
         raise DomainError("diagonal loading must be >= 0")
     quadrature = quadrature or default_quadrature()
     values, weighted = _integrate_impedance(geometry, pattern, quadrature)

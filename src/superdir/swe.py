@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraymodel import WAVE_NUMBER
+from .arraymodel import WAVE_NUMBER, _check_theta
 from .errors import (
     ConditioningError,
     DimensionError,
@@ -97,7 +97,7 @@ class FieldSampleSet:
     """Tangential far-field samples on a set of sphere directions.
 
     ``directions`` holds (theta, phi) pairs in radians, shape (P, 2), with
-    no exact duplicates; ``values`` interleaves the components as
+    no exact duplicates; ``values`` interleaves the finite components as
     [E_theta(1), E_phi(1), E_theta(2), ...], shape (2P,).
     """
 
@@ -105,14 +105,12 @@ class FieldSampleSet:
     values: np.ndarray
 
     def __post_init__(self):
-        dirs = np.asarray(self.directions, dtype=float)
+        dirs = _check_directions(self.directions)
         vals = np.asarray(self.values, dtype=complex).reshape(-1)
-        if dirs.ndim != 2 or dirs.shape[1] != 2:
-            raise DimensionError("directions must have shape (P, 2)")
-        if np.any(dirs[:, 0] < 0.0) or np.any(dirs[:, 0] > np.pi):
-            raise DomainError("theta must lie in [0, pi]")
         if vals.size != 2 * dirs.shape[0]:
             raise DimensionError("values must interleave 2 components per direction")
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("field values must be finite")
         ordered = dirs[np.lexsort((dirs[:, 1], dirs[:, 0]))]
         if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
             raise DomainError("directions contain duplicates")
@@ -215,8 +213,9 @@ def _check_directions(directions):
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 2:
         raise DimensionError("directions must have shape (P, 2)")
-    if np.any(dirs[:, 0] < 0.0) or np.any(dirs[:, 0] > np.pi):
-        raise DomainError("theta must lie in [0, pi]")
+    _check_theta(dirs[:, 0])
+    if not np.all(np.isfinite(dirs[:, 1])):
+        raise DomainError("phi must be finite")
     return dirs
 
 
@@ -344,8 +343,7 @@ def eval_spherical_wave_function(index: SweIndex, theta, phi):
     theta_b, phi_b = np.broadcast_arrays(
         np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     )
-    if np.any(theta_b < 0.0) or np.any(theta_b > np.pi):
-        raise DomainError("theta must lie in [0, pi]")
+    _check_theta(theta_b)
     ratio, tau = _angular_tables(index.n, theta_b.ravel())
     factors = _mode_factors(index.n, index.m, ratio, tau)[2 * index.s - 2 : 2 * index.s]
     phase = np.exp(1j * index.m * phi_b.ravel())

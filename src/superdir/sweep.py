@@ -151,15 +151,47 @@ def parse_coupling_source(
     raise DomainError(f"unknown coupling source {text!r}")
 
 
+def evaluate_point(
+    geometry: ArrayGeometry,
+    pattern: ElementPattern,
+    quadrature: SphereQuadrature,
+    coupling: CouplingMatrix,
+    theta0: float,
+    phi0: float,
+    efficiency: float,
+    loading: float = 0.0,
+) -> tuple:
+    """One beamforming point: its unflagged SweepRow and the compensated excitation.
+
+    Builds Z (with diagonal ``loading``) and the steering vector toward
+    (theta0, phi0) in radians, then the optimum, the directivity the
+    uncoupled-optimal excitation achieves under ``coupling``, the
+    coupling-compensated excitation and its gain at ``efficiency``. Errors
+    propagate; run_sweep turns the numerical ones into flagged rows.
+    """
+    impedance = impedance_matrix(geometry, pattern, quadrature, loading=loading)
+    steering = steering_vector(geometry, pattern, theta0, phi0)
+    uncoupled = optimal_beamforming(impedance, steering)
+    d_trad = coupled_directivity(impedance, coupling, steering, uncoupled.excitation)
+    compensated = coupled_beamforming(impedance, coupling, steering)
+    g = gain(impedance, coupling, steering, compensated.excitation, efficiency)
+    row = SweepRow(
+        spacing=geometry.spacing,
+        dmax=uncoupled.directivity,
+        d_traditional=d_trad,
+        d_coupled=compensated.directivity,
+        gain=g,
+        condition_number=impedance.condition_number,
+    )
+    return row, compensated.excitation
+
+
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
     """Evaluate every sweep point, in spacing order.
 
-    Per point: the optimum directivity, the directivity the uncoupled-optimal
-    excitation actually achieves under the coupling model, the directivity of
-    the coupling-compensated excitation, and its gain at the requested
-    efficiency. Singular or untrustworthy points are flagged with NaNs and
-    the sweep continues. ``threads`` is accepted for compatibility and
-    ignored: points run serially.
+    Each point is one evaluate_point call. Singular or untrustworthy points
+    are flagged with NaNs and the sweep continues. ``threads`` is accepted
+    for compatibility and ignored: points run serially.
     """
     pattern = ElementPattern.from_kind(spec.pattern_kind)
     quadrature = SphereQuadrature.gauss_legendre(spec.quadrature_theta, spec.quadrature_phi)
@@ -182,20 +214,9 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
                     pattern=pattern,
                     truncation=spec.truncation,
                 )
-            impedance = impedance_matrix(geometry, pattern, quadrature)
-            steering = steering_vector(geometry, pattern, theta0, phi0)
-            uncoupled = optimal_beamforming(impedance, steering)
-            d_trad = coupled_directivity(impedance, matrix, steering, uncoupled.excitation)
-            compensated = coupled_beamforming(impedance, matrix, steering)
-            g = gain(impedance, matrix, steering, compensated.excitation, spec.efficiency)
-            return SweepRow(
-                spacing=float(spacing),
-                dmax=uncoupled.directivity,
-                d_traditional=d_trad,
-                d_coupled=compensated.directivity,
-                gain=g,
-                condition_number=impedance.condition_number,
-            )
+            return evaluate_point(
+                geometry, pattern, quadrature, matrix, theta0, phi0, spec.efficiency
+            )[0]
         except (
             SingularMatrixError,
             ConditioningError,

@@ -212,6 +212,21 @@ def test_steering_rejects_theta_outside_range():
         steering_vector(geometry, ElementPattern.isotropic(), np.pi + 0.1, 0.0)
 
 
+@pytest.mark.parametrize("theta, phi, message", [
+    (np.nan, 0.0, "theta must lie"),
+    (0.5, np.nan, "phi must be finite"),
+    (0.5, np.inf, "phi must be finite"),
+])
+def test_steering_rejects_non_finite_angles(theta, phi, message):
+    with pytest.raises(DomainError, match=message):
+        steering_vector(ArrayGeometry(2, 0.3), ElementPattern.isotropic(), theta, phi)
+
+
+def test_pattern_evaluation_rejects_nan_theta():
+    with pytest.raises(DomainError, match="theta must lie"):
+        ElementPattern.isotropic().evaluate(np.array([0.1, np.nan]), 0.0)
+
+
 # ---- array pattern ----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output text, files, determinism."""
 
+import io
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from superdir import (
+    FieldSampleSet,
     WaveCoefficientSet,
     coupling_fixture,
     read_coefficients,
@@ -476,3 +478,143 @@ def test_estimate_on_random_directions_builds_the_dense_basis_once(tmp_path, cap
     found = read_coupling(tmp_path / "c.csv")
     scale = np.max(np.abs(separate.values))
     assert np.max(np.abs(found.values - separate.values)) <= 1e-12 * scale
+
+
+def test_estimate_enters_each_estimation_layer_exactly_once(tmp_path, capsys, monkeypatch):
+    # layer wrappers replace a function by identity in every superdir module
+    # namespace, so the estimate must reach these two through module globals
+    from superdir import coupling
+
+    workdir = tmp_path / "testbed"
+    assert main(["coupling", "synth", "--antennas", "3", "--spacing", "0.15",
+                 "--gamma", "0.3", "--beta", "1.1", "--truncation", "8",
+                 "--output-dir", str(workdir)]) == 0
+    calls = []
+    for name in ("build_coefficient_set", "estimate_coupling"):
+        original = getattr(coupling, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "superdir" or module_name.startswith("superdir."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    assert main(["coupling", "estimate",
+                 "--isolated", *(str(workdir / f"isolated_{i}.csv") for i in (1, 2, 3)),
+                 "--active", *(str(workdir / f"active_{i}.csv") for i in (1, 2, 3)),
+                 "--truncation", "8", "--output", str(tmp_path / "c.csv")]) == 0
+    assert calls == ["build_coefficient_set", "estimate_coupling"]
+
+
+# ---- one pipeline per output ------------------------------------------------------
+
+
+def test_beamform_output_file_is_the_excitation_writer_bytes(tmp_path, capsys):
+    from superdir import ArrayGeometry, CouplingMatrix, ElementPattern
+    from superdir.fileio import write_excitation
+    from superdir.radiation import SphereQuadrature
+    from superdir.sweep import evaluate_point
+
+    target = tmp_path / "b.csv"
+    assert main(["beamform", "--antennas", "3", "--spacing", "0.15", "--pattern",
+                 "half-wave-dipole", "--theta0", "30", "--phi0", "40", "--efficiency", "0.8",
+                 "--loading", "0.001", "--output", str(target)]) == 0
+    assert capsys.readouterr().err == f"excitation written to {target}\n"
+    _, excitation = evaluate_point(
+        ArrayGeometry(3, 0.15), ElementPattern.half_wave_dipole(),
+        SphereQuadrature.gauss_legendre(64, 128), CouplingMatrix.identity(3),
+        np.radians(30.0), np.radians(40.0), 0.8, loading=0.001,
+    )
+    buffer = io.StringIO()
+    write_excitation(buffer, excitation)
+    assert target.read_bytes() == buffer.getvalue().encode()
+    assert buffer.getvalue().startswith("element,re,im\n1,")
+
+
+@pytest.mark.parametrize("coupling", ["identity", "synthetic:gamma=0.3,beta=1.1"])
+def test_beamform_figures_are_the_one_point_sweep_row(coupling, capsys):
+    common = ["--antennas", "4", "--pattern", "hertzian-dipole", "--theta0", "60",
+              "--phi0", "90", "--efficiency", "0.7", "--coupling", coupling, "--truncation", "8"]
+    assert main(["beamform", "--spacing", "0.12", *common]) == 0
+    out = capsys.readouterr().out
+    assert main(["sweep", "--spacing", "0.12:0.12:1", *common]) == 0
+    cells = capsys.readouterr().out.splitlines()[1].split(",")
+    columns = {"D_max": 1, "D_traditional": 2, "D_coupled": 3, "gain": 4, "cond(Z)": 5}
+    for label, column in columns.items():
+        line = next(line for line in out.splitlines() if line.startswith(label + " "))
+        assert line.split()[1] == format(float(cells[column]), ".4g")
+
+
+def test_impedance_csv_is_the_impedance_writer_bytes(tmp_path, capsys):
+    from superdir import ArrayGeometry, ElementPattern, impedance_matrix
+    from superdir.fileio import write_impedance
+
+    flags = ["--antennas", "3", "--spacing", "0.2", "--loading", "0.01"]
+    assert main(["impedance", *flags]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["impedance", *flags, "--output", str(tmp_path / "z.csv")]) == 0
+    buffer = io.StringIO()
+    write_impedance(buffer, impedance_matrix(ArrayGeometry(3, 0.2), ElementPattern.isotropic(),
+                                             loading=0.01))
+    assert stdout == buffer.getvalue() == (tmp_path / "z.csv").read_text()
+
+
+# ---- non-finite input ---------------------------------------------------------------
+
+
+def test_beamform_nan_theta_exits_one(capsys):
+    assert main(["beamform", "--antennas", "2", "--spacing", "0.2", "--theta0", "nan"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "superdir: error: theta must lie in [0, pi]\n"
+
+
+@pytest.mark.parametrize("command", [["beamform", "--spacing", "0.2"],
+                                     ["sweep", "--spacing", "0.2:0.3:2"]])
+def test_nan_coupling_entry_exits_two(command, tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_text("row,col,re,im\n1,1,1,0\n1,2,nan,0\n2,1,0,0\n2,2,1,0\n")
+    assert main([*command, "--antennas", "2", "--coupling", f"file:{path}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "superdir: data error: line 3: column 're' is not finite: 'nan'\n"
+
+
+def _field_file_with(tmp_path, directions, line, column, text):
+    """Write a field CSV on ``directions``, then set one cell of one line to ``text``."""
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((len(directions), 2)) + 1j * rng.standard_normal((len(directions), 2))
+    path = tmp_path / "field.csv"
+    write_field_samples(path, FieldSampleSet.from_components(directions, values[:, 0], values[:, 1]))
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[column] = text
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("grid", ["equiangular", "random"])
+def test_fit_with_nan_phi_exits_two_naming_the_line(grid, tmp_path, capsys):
+    if grid == "equiangular":
+        directions = default_fit_grid(3)
+    else:
+        rng = np.random.default_rng(5)
+        directions = np.column_stack((np.arccos(rng.uniform(-1.0, 1.0, 200)),
+                                      rng.uniform(0.0, 2.0 * np.pi, 200)))
+    path = _field_file_with(tmp_path, directions, 7, 1, "nan")
+    assert main(["swe", "fit", "--input", str(path), "--truncation", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "superdir: data error: line 7: column 'phi_deg' is not finite: 'nan'\n"
+
+
+def test_fit_with_an_infinite_field_value_exits_two_naming_the_line(tmp_path, capsys):
+    path = _field_file_with(tmp_path, default_fit_grid(3), 9, 4, "inf")
+    assert main(["swe", "fit", "--input", str(path), "--truncation", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "superdir: data error: line 9: column 're_ephi' is not finite: 'inf'\n"
+    )

@@ -22,6 +22,7 @@ from superdir import (
     isolated_fields_synthetic,
     synthesize_coupled_fields,
 )
+from superdir.coupling import fixture_testbed
 from superdir.swe import default_fit_grid
 
 HERTZIAN = ElementPattern.hertzian_dipole()
@@ -63,6 +64,12 @@ def test_fixture_matrix_decays_geometrically_with_phase():
     np.testing.assert_allclose(c.values, c.values.T)
     with pytest.raises(DomainError):
         coupling_fixture(3, gamma=1.5, beta=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_coupling_matrix_values_must_be_finite(bad):
+    with pytest.raises(DomainError, match="must be finite"):
+        CouplingMatrix.prescribed([[1.0, bad], [0.0, 1.0]])
 
 
 # ---- synthetic fields ---------------------------------------------------------
@@ -263,6 +270,32 @@ def test_fixture_estimation_pipeline_recovers_the_fixture():
     np.testing.assert_allclose(estimate.values, fixture.values, atol=1e-8)
     assert estimate.source == "estimated"
     assert estimate.estimation_residual < 1e-9
+
+
+def test_fixture_testbed_feeds_the_library_estimate():
+    geometry = ArrayGeometry(3, 0.1)
+    trunc, fixture, isolated, active = fixture_testbed(geometry, HERTZIAN, 0.3, 1.2)
+    assert trunc == default_truncation(geometry)
+    np.testing.assert_array_equal(fixture.values, coupling_fixture(3, 0.3, 1.2).values)
+    np.testing.assert_array_equal(isolated[0].directions, default_fit_grid(trunc))
+    estimate = ElementFieldLibrary(isolated, active).estimate(trunc)
+    # 0 and None both mean the automatic order in the pipeline
+    for automatic in (None, 0):
+        again = estimate_fixture_coupling(geometry, HERTZIAN, 0.3, 1.2, truncation=automatic)
+        assert again.values.tobytes() == estimate.values.tobytes()
+        assert again.estimation_residual == estimate.estimation_residual
+
+
+def test_fixture_testbed_rejects_an_explicit_zero_order():
+    with pytest.raises(DomainError, match="truncation order"):
+        fixture_testbed(ArrayGeometry(2, 0.2), HERTZIAN, 0.3, 1.2, truncation=0)
+
+
+def test_synthetic_fields_reject_non_finite_phi():
+    grid = default_fit_grid(2)
+    grid[3, 1] = np.nan
+    with pytest.raises(DomainError, match="phi must be finite"):
+        isolated_fields_synthetic(ArrayGeometry(2, 0.2), HERTZIAN, grid)
 
 
 def test_default_truncation_follows_the_enclosing_sphere():

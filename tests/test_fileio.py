@@ -199,6 +199,9 @@ def test_field_files_with_any_line_ending_read_the_same_doubles(ending, tmp_path
         ("10,0,1,,0,0\n", "line 2: column 'im_etheta' is not a number: ''"),
         ("-0.5,0,1,0,0,0\n", "line 2: theta_deg -0.5 outside [0, 180]"),
         ("10,0,1,0,0,0\nnan,0,1,0,0,0\n", "line 3: theta_deg nan outside [0, 180]"),
+        ("10,0,1,0,0,0\n20,nan,1,0,0,0\n", "line 3: column 'phi_deg' is not finite: 'nan'"),
+        ("10,0,1,0,0,0\n20,0,1,-inf,0,0\n", "line 3: column 'im_etheta' is not finite: '-inf'"),
+        ("10,0,1,0,0,inf\n", "line 2: column 'im_ephi' is not finite: 'inf'"),
         # the first bad line wins, whatever comes after it
         ("180.5,0,oops,0,0,0\n10,0\n", "line 2: theta_deg 180.5 outside [0, 180]"),
     ],
@@ -262,6 +265,13 @@ def test_coupling_non_integer_index_is_rejected():
         read_coupling(io.StringIO(text))
 
 
+@pytest.mark.parametrize("cells, column", [("nan,0", "re"), ("0,inf", "im")])
+def test_coupling_non_finite_value_names_its_line(cells, column):
+    text = f"row,col,re,im\n1,1,1,0\n1,2,{cells}\n2,1,0,0\n2,2,1,0\n"
+    with pytest.raises(DataError, match=rf"line 3: column '{column}' is not finite"):
+        read_coupling(io.StringIO(text))
+
+
 # ---- wave coefficients ---------------------------------------------------------
 
 
@@ -319,6 +329,12 @@ def test_coefficient_partial_mode_set_is_rejected():
 def test_coefficient_empty_body_is_rejected():
     with pytest.raises(DataError, match="no entries"):
         read_coefficients(io.StringIO("s,m,n,re,im\n"))
+
+
+def test_coefficient_non_finite_value_names_its_line():
+    text = "s,m,n,re,im\n1,-1,1,1,0\n2,-1,1,0,nan\n1,0,1,0,0\n2,0,1,0,0\n1,1,1,0,0\n2,1,1,0,0\n"
+    with pytest.raises(DataError, match=r"line 3: column 'im' is not finite: 'nan'"):
+        read_coefficients(io.StringIO(text))
 
 
 # ---- sweep output ---------------------------------------------------------------

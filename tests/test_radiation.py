@@ -157,8 +157,9 @@ def test_diagonal_loading_adds_delta_to_the_diagonal():
     loaded = impedance_matrix(geometry, ElementPattern.isotropic(), loading=0.01)
     np.testing.assert_allclose(loaded.values, plain.values + 0.01 * np.eye(3), atol=1e-15)
     assert loaded.condition_number < plain.condition_number
-    with pytest.raises(DomainError):
-        impedance_matrix(geometry, ElementPattern.isotropic(), loading=-1e-3)
+    for bad in (-1e-3, np.nan):
+        with pytest.raises(DomainError):
+            impedance_matrix(geometry, ElementPattern.isotropic(), loading=bad)
 
 
 def test_condition_number_grows_as_spacing_shrinks():

@@ -192,6 +192,24 @@ def test_field_sample_set_interleaves_components():
     assert samples.point_count == 2
 
 
+@pytest.mark.parametrize("directions, values, message", [
+    ([[np.nan, 0.0]], [1.0, 0.0], "theta must lie"),
+    ([[0.5, np.nan]], [1.0, 0.0], "phi must be finite"),
+    ([[0.5, 0.0]], [np.inf, 0.0], "field values must be finite"),
+    ([[0.5, 0.0]], [1.0, complex(0.0, np.nan)], "field values must be finite"),
+])
+def test_field_sample_set_rejects_non_finite_input(directions, values, message):
+    with pytest.raises(DomainError, match=message):
+        FieldSampleSet(directions=np.array(directions), values=np.array(values))
+
+
+def test_basis_and_mode_functions_reject_non_finite_angles():
+    with pytest.raises(DomainError, match="phi must be finite"):
+        basis_matrix(np.array([[0.5, 0.0], [1.0, np.nan]]), 2)
+    with pytest.raises(DomainError, match="theta must lie"):
+        eval_spherical_wave_function(SweIndex(s=1, m=1, n=1), np.array([0.2, np.nan]), 0.0)
+
+
 def test_field_sample_set_rejects_duplicates_and_bad_shapes():
     dirs = np.array([[0.5, 0.0], [0.5, 0.0]])
     with pytest.raises(DomainError):

@@ -1,5 +1,8 @@
 """Spacing sweeps: spec validation, coupling sources, ordering, determinism."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from superdir import (
     write_coupling,
 )
 from superdir.arraymodel import ArrayGeometry, ElementPattern
+from superdir.radiation import SphereQuadrature
+from superdir.sweep import evaluate_point
 
 from oracles import endfire_pair_dmax
 
@@ -206,6 +211,30 @@ def test_singular_coupling_file_flags_rows_instead_of_aborting(tmp_path):
         assert row.spacing == float(spacing)
         assert np.isnan(row.d_coupled) and np.isnan(row.gain)
         assert row.note != ""
+
+
+@pytest.mark.parametrize("source", ["identity", "file", "synthetic:gamma=0.3,beta=1.1"])
+def test_sweep_rows_are_evaluate_point_bit_for_bit(source, tmp_path):
+    if source == "file":
+        path = tmp_path / "c.csv"
+        write_coupling(path, coupling_fixture(3, 0.4, -0.6))
+        source = f"file:{path}"
+    spec = _small_sweep(antennas=3, pattern_kind="hertzian-dipole", theta0_deg=35.0,
+                        phi0_deg=70.0, efficiency=0.85, coupling_source=source, truncation=9)
+    pattern = ElementPattern.from_kind(spec.pattern_kind)
+    quadrature = SphereQuadrature.gauss_legendre(spec.quadrature_theta, spec.quadrature_phi)
+    rows = run_sweep(spec)
+    assert len(rows) == spec.spacing_steps
+    for row, spacing in zip(rows, spec.spacings):
+        geometry = ArrayGeometry(spec.antennas, float(spacing))
+        coupling = parse_coupling_source(spec.coupling_source, spec.antennas, geometry=geometry,
+                                         pattern=pattern, truncation=spec.truncation)
+        expected, excitation = evaluate_point(geometry, pattern, quadrature, coupling,
+                                              math.radians(35.0), math.radians(70.0), 0.85)
+        assert row.note == ""
+        assert np.array(dataclasses.astuple(row)[:6]).tobytes() == np.array(
+            dataclasses.astuple(expected)[:6]).tobytes()
+        assert excitation.shape == (3,)
 
 
 def test_compensation_restores_the_optimum_across_a_synthetic_sweep():
