@@ -53,6 +53,8 @@ class ArrayGeometry:
             raise DomainError("element_count must be an integer >= 1")
         if not self.spacing > 0.0:
             raise DomainError("spacing must be positive")
+        if not np.isfinite(self.spacing):
+            raise DomainError("spacing must be finite")
         object.__setattr__(self, "element_count", int(self.element_count))
         object.__setattr__(self, "spacing", float(self.spacing))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import typing
 
@@ -134,14 +135,8 @@ def _cmd_beamform(args) -> int:
         truncation=args.truncation or 0,
     )
     row, excitation = evaluate_point(
-        geometry,
-        pattern,
-        _quadrature(args),
-        coupling,
-        math.radians(args.theta0),
-        math.radians(args.phi0),
-        args.efficiency,
-        loading=args.loading,
+        geometry, pattern, _quadrature(args), coupling, math.radians(args.theta0),
+        math.radians(args.phi0), args.efficiency, loading=args.loading,
     )
 
     print(f"antennas        {geometry.element_count}")
@@ -280,8 +275,6 @@ def _cmd_coupling_estimate(args) -> int:
 
 
 def _cmd_coupling_synth(args) -> int:
-    import os
-
     geometry = ArrayGeometry(args.antennas, _resolve_spacing(args))
     pattern = ElementPattern.from_kind(args.pattern)
     trunc, fixture, isolated, active = fixture_testbed(

@@ -138,7 +138,8 @@ def _require_shared_grid(fields):
         raise DimensionError("field list must not be empty")
     dirs = fields[0].directions
     for f in fields[1:]:
-        if f.directions.shape != dirs.shape or not np.array_equal(f.directions, dirs):
+        # synthesized fields share one directions array, which needs no compare
+        if f.directions is not dirs and not np.array_equal(f.directions, dirs):
             raise DimensionError("all fields must share one direction grid")
 
 

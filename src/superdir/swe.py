@@ -50,8 +50,10 @@ def truncation_degree(enclosing_radius: float) -> int:
     Uses N = ceil(k * r0) + 10 with the radius in wavelengths, which keeps
     the discarded modes evanescent with a safety margin of ten orders.
     """
-    if enclosing_radius < 0.0:
+    if not enclosing_radius >= 0.0:
         raise DomainError("enclosing radius must be >= 0")
+    if not np.isfinite(enclosing_radius):
+        raise DomainError("enclosing radius must be finite")
     return int(np.ceil(WAVE_NUMBER * float(enclosing_radius))) + 10
 
 
@@ -520,6 +522,5 @@ def fit_wave_coefficients(samples: FieldSampleSet, truncation: int) -> WaveCoeff
 
 def reconstruct_field(coefficients: WaveCoefficientSet, directions) -> FieldSampleSet:
     """Evaluate the modal sum on the given directions."""
-    dirs = _check_directions(directions)
-    basis = basis_matrix(dirs, coefficients.truncation)
-    return FieldSampleSet(directions=dirs, values=basis @ coefficients.coefficients)
+    basis = basis_matrix(directions, coefficients.truncation)
+    return FieldSampleSet(directions=directions, values=basis @ coefficients.coefficients)

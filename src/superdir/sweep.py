@@ -195,9 +195,8 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
     """
     pattern = ElementPattern.from_kind(spec.pattern_kind)
     quadrature = SphereQuadrature.gauss_legendre(spec.quadrature_theta, spec.quadrature_phi)
-    synthetic = spec.coupling_source.startswith("synthetic:")
     fixed_matrix = None
-    if not synthetic:
+    if not spec.coupling_source.startswith("synthetic:"):
         fixed_matrix = parse_coupling_source(spec.coupling_source, spec.antennas)
     theta0 = math.radians(spec.theta0_deg)
     phi0 = math.radians(spec.phi0_deg)

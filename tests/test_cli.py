@@ -572,6 +572,22 @@ def test_beamform_nan_theta_exits_one(capsys):
     assert err == "superdir: error: theta must lie in [0, pi]\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["beamform", "--antennas", "2", "--spacing", "inf"], "spacing must be finite"),
+    (["beamform", "--antennas", "2", "--spacing-m", "0.1", "--frequency", "inf"],
+     "spacing must be finite"),
+    (["beamform", "--antennas", "2", "--spacing", "nan"], "spacing must be positive"),
+    (["swe", "fit", "--input", "field.csv", "--radius", "nan"], "enclosing radius must be >= 0"),
+    (["swe", "fit", "--input", "field.csv", "--radius", "inf"], "enclosing radius must be finite"),
+])
+def test_non_finite_lengths_exit_one(flags, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    field = reconstruct_field(WaveCoefficientSet(np.ones(6, dtype=complex), 1, 0.0), default_fit_grid(1))
+    write_field_samples(tmp_path / "field.csv", field)
+    assert main(flags) == 1
+    assert capsys.readouterr().err == f"superdir: error: {message}\n"
+
+
 @pytest.mark.parametrize("command", [["beamform", "--spacing", "0.2"],
                                      ["sweep", "--spacing", "0.2:0.3:2"]])
 def test_nan_coupling_entry_exits_two(command, tmp_path, capsys):
