@@ -11,8 +11,9 @@ gain-optimal excitations, ``radiation.directivity`` values, error messages,
 ill-conditioning warnings, and, through the CLI alone: ``superdir impedance``
 CSVs, ``beamform --output`` files and ``--loading`` runs, ``sweep --output``
 files, ``coupling synth`` files, ``coupling estimate`` CSVs on that testbed,
-``swe fit`` CSVs and the ``--help`` of every command. Uses only the public
-API and the CLI; every CLI group also records exit codes and stderr, with the
+``swe fit`` CSVs and the ``--help`` of every command; and, through both, the
+error of each bad angle and non-finite scalar. Uses only the public API and
+the CLI; every CLI group also records exit codes and stderr, with the
 scratch directory's path replaced by ``<work>``.
 """
 
@@ -70,6 +71,15 @@ def _files(paths) -> list:
         else:
             parts.append("absent")
     return parts
+
+
+def _outcome(call) -> str:
+    """Type and text of the error ``call()`` raises, or "no error"."""
+    try:
+        call()
+    except Exception as exc:  # the digest records whichever error is raised
+        return f"{type(exc).__name__}: {exc}"
+    return "no error"
 
 
 def _synth(workdir, name, *flags):
@@ -201,13 +211,7 @@ def errors(workdir):
         lambda: superdir.directivity(geometry, pattern, z, [0.0, 0.0], 0.5, 0.5),
         lambda: superdir.directivity(geometry, pattern, z, [1.0], 0.5, 0.5),
     )
-    parts = []
-    for call in calls:
-        try:
-            call()
-            parts.append("no error")
-        except Exception as exc:  # the digest records whichever error is raised
-            parts.append(f"{type(exc).__name__}: {exc}")
+    parts = [_outcome(call) for call in calls]
     return f"{len(parts)} calls", _digest(parts)
 
 
@@ -348,6 +352,45 @@ def swe_fit(workdir):
     return f"{len(parts)} parts", _digest(parts)
 
 
+def input_errors(workdir):
+    geometry = superdir.ArrayGeometry(2, 0.3)
+    sampled = superdir.ElementPattern.sampled(
+        np.linspace(0.0, np.pi, 5), np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False),
+        np.ones((5, 8)),
+    )
+    patterns = [superdir.ElementPattern.from_kind(kind) for kind in PATTERNS] + [sampled]
+    takers = [pattern.evaluate for pattern in patterns] + [pattern.polarized for pattern in patterns]
+    takers += [
+        lambda t, p: superdir.evaluate_array_pattern(geometry, patterns[0], [1.0, 0.5], t, p),
+        lambda t, p: superdir.active_element_pattern(
+            geometry, patterns[2], superdir.CouplingMatrix.identity(2), 1, t, p),
+        lambda t, p: superdir.eval_spherical_wave_function(superdir.SweIndex(1, 1, 1), t, p),
+        lambda t, p: superdir.steering_vector(geometry, patterns[0], t, p),
+        lambda t, p: superdir.basis_matrix(np.array([[0.5, 0.0], [t, p]]), 2),
+    ]
+    bad_angles = ((np.nan, 0.0), (-0.1, 0.0), (0.5, np.nan), (0.5, np.inf), (0.5, -np.inf))
+    parts = [_outcome(lambda: taker(t, p)) for taker in takers for t, p in bad_angles]
+    for bad in (np.inf, np.nan, -1.0):
+        parts += [
+            _outcome(lambda: superdir.impedance_matrix(geometry, patterns[0], loading=bad)),
+            _outcome(lambda: superdir.SweepSpec(antennas=2, spacing_stop=bad)),
+            _outcome(lambda: superdir.coupling_fixture(2, 0.3, bad)),
+        ]
+    for flags in (
+        ["impedance", "--antennas", "2", "--spacing", "0.1", "--loading", "inf"],
+        ["beamform", "--antennas", "2", "--spacing", "0.1", "--loading", "inf"],
+        ["sweep", "--antennas", "2", "--spacing", "0.1:inf:2"],
+        ["sweep", "--antennas", "2", "--spacing", "0.1:nan:2"],
+        ["sweep", "--antennas", "2", "--spacing", "inf"],
+        ["sweep", "--antennas", "2", "--spacing", "0.1:0.2:2", "--coupling",
+         "synthetic:gamma=0.3,beta=inf"],
+        ["coupling", "synth", "--antennas", "2", "--spacing", "0.2", "--gamma", "0.3", "--beta",
+         "nan", "--output-dir", os.path.join(workdir, "nan-beta")],
+    ):
+        parts.append(_run_cli(flags, workdir))
+    return f"{len(parts)} parts", _digest(parts)
+
+
 def help_texts(workdir):
     commands = ([], ["impedance"], ["beamform"], ["sweep"], ["swe"], ["swe", "fit"], ["coupling"],
                 ["coupling", "estimate"], ["coupling", "synth"])
@@ -360,7 +403,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for group in (sweeps, beamform_stdout, sweep_help, gain_optimal, radiation_directivity,
                       errors, ill_conditioning_warnings, impedance_csv, beamform_files,
-                      sweep_files, coupling_synth, coupling_estimate, swe_fit, help_texts):
+                      sweep_files, coupling_synth, coupling_estimate, swe_fit, help_texts,
+                      input_errors):
             what, digest = group(workdir)
             print(f"{group.__name__:26s} {digest}  ({what})")
     return 0

@@ -17,7 +17,8 @@ from .errors import DimensionError, DomainError
 WAVE_NUMBER = 2.0 * np.pi
 """Free-space wave number for positions given in wavelengths."""
 
-PATTERN_KINDS = ("isotropic", "hertzian-dipole", "half-wave-dipole", "sampled")
+ANALYTIC_KINDS = ("isotropic", "hertzian-dipole", "half-wave-dipole")
+PATTERN_KINDS = ANALYTIC_KINDS + ("sampled",)
 
 
 def radial_unit_vector(theta, phi):
@@ -30,11 +31,14 @@ def radial_unit_vector(theta, phi):
     )
 
 
-def _check_theta(theta):
-    theta = np.asarray(theta, dtype=float)
+def _check_angles(theta, phi):
+    """Broadcast float arrays (theta, phi) with 0 <= theta <= pi and phi finite."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     if not np.all((theta >= 0.0) & (theta <= np.pi)):
         raise DomainError("theta must lie in [0, pi]")
-    return theta
+    if not np.all(np.isfinite(phi)):
+        raise DomainError("phi must be finite")
+    return theta, phi
 
 
 @dataclass(frozen=True)
@@ -159,13 +163,9 @@ class ElementPattern:
     @classmethod
     def from_kind(cls, kind: str) -> "ElementPattern":
         """Build one of the analytic patterns from its CLI name."""
-        if kind == "isotropic":
-            return cls.isotropic()
-        if kind == "hertzian-dipole":
-            return cls.hertzian_dipole()
-        if kind == "half-wave-dipole":
-            return cls.half_wave_dipole()
-        raise DomainError(f"unknown analytic pattern kind {kind!r}")
+        if kind not in ANALYTIC_KINDS:
+            raise DomainError(f"unknown analytic pattern kind {kind!r}")
+        return cls(kind=kind)
 
     # ---- evaluation ---------------------------------------------------
 
@@ -175,9 +175,7 @@ class ElementPattern:
         Returns float values for the analytic kinds and complex values for
         sampled grids.
         """
-        theta = _check_theta(theta)
-        phi = np.asarray(phi, dtype=float)
-        theta, phi = np.broadcast_arrays(theta, phi)
+        theta, phi = _check_angles(theta, phi)
         if self.kind == "isotropic":
             out = np.ones(theta.shape)
         elif self.kind == "hertzian-dipole":
@@ -225,9 +223,7 @@ class ElementPattern:
         kinds are emitted theta-polarized by convention. The magnitude always
         equals ``evaluate(theta, phi)``.
         """
-        theta = _check_theta(theta)
-        phi = np.asarray(phi, dtype=float)
-        theta, phi = np.broadcast_arrays(theta, phi)
+        theta, phi = _check_angles(theta, phi)
         if self.kind in ("isotropic", "sampled"):
             k = np.asarray(self.evaluate(theta, phi), dtype=complex)
             return k, np.zeros_like(k)
@@ -281,10 +277,7 @@ def steering_vector(geometry: ArrayGeometry, pattern: ElementPattern, theta: flo
     SteeringVector
         Element responses including the element pattern value.
     """
-    theta = float(_check_theta(theta))
-    phi = float(phi)
-    if not np.isfinite(phi):
-        raise DomainError("phi must be finite")
+    theta, phi = map(float, _check_angles(theta, phi))
     k_val = pattern.evaluate(theta, phi)
     phase = np.exp(1j * WAVE_NUMBER * np.cos(theta) * geometry.z_positions)
     return SteeringVector(values=k_val * phase)
@@ -301,9 +294,7 @@ def evaluate_array_pattern(geometry: ArrayGeometry, pattern: ElementPattern, exc
         raise DimensionError(
             f"excitation has {a.size} entries for {geometry.element_count} elements"
         )
-    theta = _check_theta(theta)
-    phi = np.asarray(phi, dtype=float)
-    theta, phi = np.broadcast_arrays(theta, phi)
+    theta, phi = _check_angles(theta, phi)
     k_val = pattern.evaluate(theta, phi)
     costh = np.cos(theta)
     # sum over elements of a_m * exp(j k z_m cos(theta)), then one pattern factor

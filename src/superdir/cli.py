@@ -15,7 +15,7 @@ import sys
 import typing
 
 from . import fileio
-from .arraymodel import ArrayGeometry, ElementPattern
+from .arraymodel import ANALYTIC_KINDS, ArrayGeometry, ElementPattern
 from .beamform import loss_resistance
 from .coupling import ElementFieldLibrary, default_truncation, fixture_testbed
 from .errors import (
@@ -37,7 +37,6 @@ from .sweep import SweepSpec, evaluate_point, parse_coupling_source, run_sweep
 SPEED_OF_LIGHT = 299792458.0
 DEFAULT_FREQUENCY = 845e6  # Hz; used only to convert meter-denominated inputs
 
-_ANALYTIC_PATTERNS = ("isotropic", "hertzian-dipole", "half-wave-dipole")
 
 class UsageError(SuperdirError, ValueError):
     """Bad command line or configuration input."""
@@ -92,7 +91,7 @@ def _add_geometry_flags(parser):
 def _add_pattern_flag(parser):
     parser.add_argument(
         "--pattern",
-        choices=_ANALYTIC_PATTERNS,
+        choices=ANALYTIC_KINDS,
         default="isotropic",
         help="common element pattern (default isotropic)",
     )
@@ -132,7 +131,7 @@ def _cmd_beamform(args) -> int:
         geometry.element_count,
         geometry=geometry,
         pattern=pattern,
-        truncation=args.truncation or 0,
+        truncation=args.truncation,
     )
     row, excitation = evaluate_point(
         geometry, pattern, _quadrature(args), coupling, math.radians(args.theta0),
@@ -329,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="sweep spacing and emit CSV")
     p_sw.add_argument("--config", help="key = value configuration file")
     p_sw.add_argument("--antennas", type=int)
-    p_sw.add_argument("--pattern", dest="pattern_kind", choices=_ANALYTIC_PATTERNS)
+    p_sw.add_argument("--pattern", dest="pattern_kind", choices=ANALYTIC_KINDS)
     p_sw.add_argument("--spacing", help="start:stop:steps in wavelengths")
     p_sw.add_argument("--theta0", dest="theta0_deg", metavar="THETA0", type=float,
                       help="steering polar angle in degrees")

@@ -83,6 +83,8 @@ def coupling_fixture(element_count: int, gamma: float, beta: float) -> CouplingM
     """
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie in (0, 1)")
+    if not np.isfinite(beta):
+        raise DomainError("beta must be finite")
     if element_count < 1:
         raise DomainError("element_count must be >= 1")
     idx = np.arange(int(element_count))

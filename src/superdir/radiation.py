@@ -207,6 +207,8 @@ def impedance_matrix(
     """
     if not loading >= 0.0:
         raise DomainError("diagonal loading must be >= 0")
+    if not np.isfinite(loading):
+        raise DomainError("diagonal loading must be finite")
     quadrature = quadrature or default_quadrature()
     values, weighted = _integrate_impedance(geometry, pattern, quadrature)
     if certified:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraymodel import WAVE_NUMBER, _check_theta
+from .arraymodel import WAVE_NUMBER, _check_angles
 from .errors import (
     ConditioningError,
     DimensionError,
@@ -215,9 +215,7 @@ def _check_directions(directions):
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 2:
         raise DimensionError("directions must have shape (P, 2)")
-    _check_theta(dirs[:, 0])
-    if not np.all(np.isfinite(dirs[:, 1])):
-        raise DomainError("phi must be finite")
+    _check_angles(dirs[:, 0], dirs[:, 1])
     return dirs
 
 
@@ -342,10 +340,7 @@ def eval_spherical_wave_function(index: SweIndex, theta, phi):
     Pole directions evaluate to the analytic limits: finite for |m| = 1 and
     zero for every other order.
     """
-    theta_b, phi_b = np.broadcast_arrays(
-        np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    )
-    _check_theta(theta_b)
+    theta_b, phi_b = _check_angles(theta, phi)
     ratio, tau = _angular_tables(index.n, theta_b.ravel())
     factors = _mode_factors(index.n, index.m, ratio, tau)[2 * index.s - 2 : 2 * index.s]
     phase = np.exp(1j * index.m * phi_b.ravel())

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .arraymodel import PATTERN_KINDS, ArrayGeometry, ElementPattern, steering_vector
+from .arraymodel import ANALYTIC_KINDS, ArrayGeometry, ElementPattern, steering_vector
 from .beamform import coupled_beamforming, coupled_directivity, gain, optimal_beamforming
 from .coupling import CouplingMatrix, coupling_fixture, estimate_fixture_coupling
 from .errors import (
@@ -61,7 +61,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.antennas < 1:
             raise DomainError("antennas must be >= 1")
-        if self.pattern_kind not in PATTERN_KINDS or self.pattern_kind == "sampled":
+        if self.pattern_kind not in ANALYTIC_KINDS:
             raise DomainError(
                 f"sweep pattern must be one of the analytic kinds, not {self.pattern_kind!r}"
             )
@@ -69,6 +69,8 @@ class SweepSpec:
             raise DomainError("spacing_start must be positive")
         if self.spacing_stop < self.spacing_start:
             raise DomainError("spacing_stop must be >= spacing_start")
+        if self.spacing_steps > 1 and not np.isfinite(self.spacing_stop):
+            raise DomainError("spacing_stop must be finite")
         if self.spacing_steps < 1:
             raise DomainError("spacing_steps must be >= 1")
         if not 0.0 <= self.theta0_deg <= 180.0:
@@ -145,9 +147,7 @@ def parse_coupling_source(
         gamma, beta = _parse_fixture_params(text[len("synthetic:"):])
         if geometry is None or pattern is None:
             return coupling_fixture(element_count, gamma, beta)
-        return estimate_fixture_coupling(
-            geometry, pattern, gamma, beta, truncation=truncation or None
-        )
+        return estimate_fixture_coupling(geometry, pattern, gamma, beta, truncation=truncation)
     raise DomainError(f"unknown coupling source {text!r}")
 
 

@@ -5,9 +5,14 @@ import pytest
 
 from superdir import (
     ArrayGeometry,
+    CouplingMatrix,
     DimensionError,
     DomainError,
     ElementPattern,
+    SweIndex,
+    active_element_pattern,
+    basis_matrix,
+    eval_spherical_wave_function,
     evaluate_array_pattern,
     steering_vector,
 )
@@ -143,6 +148,34 @@ def test_polarized_components_carry_the_pattern_magnitude():
         )
 
 
+@pytest.mark.parametrize("kind, constructor", [
+    ("isotropic", ElementPattern.isotropic),
+    ("hertzian-dipole", ElementPattern.hertzian_dipole),
+    ("half-wave-dipole", ElementPattern.half_wave_dipole),
+])
+def test_from_kind_is_the_named_constructor_bit_for_bit(kind, constructor):
+    built, named = ElementPattern.from_kind(kind), constructor()
+    assert built.kind == named.kind == kind
+    if named.axis is None:
+        assert built.axis is None
+    else:
+        np.testing.assert_array_equal(built.axis, named.axis)
+    # 64 x 128 equiangular grid, poles included
+    theta, phi = np.meshgrid(
+        np.linspace(0.0, np.pi, 64), np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False),
+        indexing="ij",
+    )
+    np.testing.assert_array_equal(built.evaluate(theta, phi), named.evaluate(theta, phi))
+    for got, want in zip(built.polarized(theta, phi), named.polarized(theta, phi)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_from_kind_rejects_the_sampled_kind():
+    with pytest.raises(DomainError) as info:
+        ElementPattern.from_kind("sampled")
+    assert str(info.value) == "unknown analytic pattern kind 'sampled'"
+
+
 # ---- steering vectors -------------------------------------------------------
 
 
@@ -212,14 +245,56 @@ def test_steering_rejects_theta_outside_range():
         steering_vector(geometry, ElementPattern.isotropic(), np.pi + 0.1, 0.0)
 
 
+def _unit_sampled_pattern():
+    return ElementPattern.sampled(
+        np.linspace(0.0, np.pi, 5), np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False),
+        np.ones((5, 8)),
+    )
+
+
+def _pattern_method(make, method):
+    return lambda t, p: getattr(make(), method)(t, p)
+
+
+_PAIR = ArrayGeometry(2, 0.3)
+# every public function that takes a direction, called as f(theta, phi)
+_ANGLE_TAKERS = {
+    **{
+        f"{kind}.{method}": _pattern_method(make, method)
+        for kind, make in (
+            ("isotropic", ElementPattern.isotropic),
+            ("hertzian-dipole", ElementPattern.hertzian_dipole),
+            ("half-wave-dipole", ElementPattern.half_wave_dipole),
+            ("sampled", _unit_sampled_pattern),
+        )
+        for method in ("evaluate", "polarized")
+    },
+    "evaluate_array_pattern": lambda t, p: evaluate_array_pattern(
+        _PAIR, ElementPattern.isotropic(), [1.0, 0.5], t, p
+    ),
+    "active_element_pattern": lambda t, p: active_element_pattern(
+        _PAIR, ElementPattern.half_wave_dipole(), CouplingMatrix.identity(2), 1, t, p
+    ),
+    "eval_spherical_wave_function": lambda t, p: eval_spherical_wave_function(
+        SweIndex(s=1, m=1, n=1), t, p
+    ),
+    "steering_vector": lambda t, p: steering_vector(_PAIR, ElementPattern.isotropic(), t, p),
+    "basis_matrix": lambda t, p: basis_matrix(np.array([[0.5, 0.0], [t, p]]), 2),
+}
+
+
 @pytest.mark.parametrize("theta, phi, message", [
-    (np.nan, 0.0, "theta must lie"),
-    (0.5, np.nan, "phi must be finite"),
-    (0.5, np.inf, "phi must be finite"),
+    pytest.param(np.nan, 0.0, "theta must lie in [0, pi]", id="nan theta"),
+    pytest.param(-0.1, 0.0, "theta must lie in [0, pi]", id="negative theta"),
+    pytest.param(0.5, np.nan, "phi must be finite", id="nan phi"),
+    pytest.param(0.5, np.inf, "phi must be finite", id="inf phi"),
+    pytest.param(0.5, -np.inf, "phi must be finite", id="-inf phi"),
 ])
-def test_steering_rejects_non_finite_angles(theta, phi, message):
-    with pytest.raises(DomainError, match=message):
-        steering_vector(ArrayGeometry(2, 0.3), ElementPattern.isotropic(), theta, phi)
+@pytest.mark.parametrize("function", sorted(_ANGLE_TAKERS))
+def test_every_angle_taking_function_rejects_bad_angles(function, theta, phi, message):
+    with pytest.raises(DomainError) as info:
+        _ANGLE_TAKERS[function](theta, phi)
+    assert str(info.value) == message
 
 
 def test_pattern_evaluation_rejects_nan_theta():

@@ -588,6 +588,32 @@ def test_non_finite_lengths_exit_one(flags, message, tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == f"superdir: error: {message}\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["impedance", "--antennas", "2", "--spacing", "0.1", "--loading", "inf"],
+     "diagonal loading must be finite"),
+    (["beamform", "--antennas", "2", "--spacing", "0.1", "--loading", "inf"],
+     "diagonal loading must be finite"),
+    (["impedance", "--antennas", "2", "--spacing", "0.1", "--loading", "nan"],
+     "diagonal loading must be >= 0"),
+    (["sweep", "--antennas", "2", "--spacing", "0.1:inf:2"], "spacing_stop must be finite"),
+    (["sweep", "--antennas", "2", "--spacing", "0.1:nan:2"], "spacing_stop must be finite"),
+    (["sweep", "--antennas", "2", "--spacing", "inf"], "spacing must be finite"),
+    (["sweep", "--config", "nan_stop.cfg"], "spacing_stop must be finite"),
+    (["sweep", "--antennas", "2", "--spacing", "0.1:0.2:2", "--coupling",
+      "synthetic:gamma=0.3,beta=inf"], "beta must be finite"),
+    (["beamform", "--antennas", "2", "--spacing", "0.1", "--coupling",
+      "synthetic:gamma=0.3,beta=nan"], "beta must be finite"),
+    (["coupling", "synth", "--antennas", "2", "--spacing", "0.2", "--gamma", "0.3", "--beta",
+      "inf", "--output-dir", "testbed"], "beta must be finite"),
+])
+def test_non_finite_scalars_exit_one_naming_the_value(flags, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan_stop.cfg").write_text("antennas = 2\nspacing_stop = nan\n")
+    assert main(flags) == 1
+    assert capsys.readouterr() == ("", f"superdir: error: {message}\n")
+    assert not (tmp_path / "testbed").exists()
+
+
 @pytest.mark.parametrize("command", [["beamform", "--spacing", "0.2"],
                                      ["sweep", "--spacing", "0.2:0.3:2"]])
 def test_nan_coupling_entry_exits_two(command, tmp_path, capsys):

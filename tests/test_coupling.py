@@ -66,6 +66,12 @@ def test_fixture_matrix_decays_geometrically_with_phase():
         coupling_fixture(3, gamma=1.5, beta=0.0)
 
 
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+def test_fixture_rejects_a_non_finite_beta(beta):
+    with pytest.raises(DomainError, match="beta must be finite"):
+        coupling_fixture(3, gamma=0.3, beta=beta)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_coupling_matrix_values_must_be_finite(bad):
     with pytest.raises(DomainError, match="must be finite"):

@@ -157,8 +157,8 @@ def test_diagonal_loading_adds_delta_to_the_diagonal():
     loaded = impedance_matrix(geometry, ElementPattern.isotropic(), loading=0.01)
     np.testing.assert_allclose(loaded.values, plain.values + 0.01 * np.eye(3), atol=1e-15)
     assert loaded.condition_number < plain.condition_number
-    for bad in (-1e-3, np.nan):
-        with pytest.raises(DomainError):
+    for bad, message in ((-1e-3, ">= 0"), (np.nan, ">= 0"), (np.inf, "finite")):
+        with pytest.raises(DomainError, match=f"diagonal loading must be {message}"):
             impedance_matrix(geometry, ElementPattern.isotropic(), loading=bad)
 
 

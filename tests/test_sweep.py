@@ -54,6 +54,8 @@ def _small_sweep(**overrides):
         {"efficiency": 1.2},
         {"quadrature_theta": 0},
         {"truncation": -1},
+        {"spacing_stop": np.inf},
+        {"spacing_stop": np.nan},
     ],
 )
 def test_invalid_sweep_specs_are_rejected(overrides):
