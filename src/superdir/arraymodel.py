@@ -178,17 +178,15 @@ class ElementPattern:
         theta, phi = _check_angles(theta, phi)
         if self.kind == "isotropic":
             out = np.ones(theta.shape)
-        elif self.kind == "hertzian-dipole":
-            cospsi = radial_unit_vector(theta, phi) @ self.axis
-            out = np.sqrt(np.maximum(1.0 - cospsi**2, 0.0))
-        elif self.kind == "half-wave-dipole":
-            cospsi = radial_unit_vector(theta, phi) @ self.axis
-            sinpsi = np.sqrt(np.maximum(1.0 - cospsi**2, 0.0))
-            out = np.zeros(theta.shape)
-            ok = sinpsi > 0.0
-            out[ok] = np.cos(0.5 * np.pi * cospsi[ok]) / sinpsi[ok]
-        else:
+        elif self.kind == "sampled":
             out = self._interpolate(theta, phi)
+        else:  # dipole kinds, psi measured from the axis
+            cospsi = radial_unit_vector(theta, phi) @ self.axis
+            out = sinpsi = np.sqrt(np.maximum(1.0 - cospsi**2, 0.0))
+            if self.kind == "half-wave-dipole":
+                out = np.zeros(theta.shape)
+                ok = sinpsi > 0.0
+                out[ok] = np.cos(0.5 * np.pi * cospsi[ok]) / sinpsi[ok]
         if out.ndim == 0:
             return out[()]
         return out
@@ -223,10 +221,10 @@ class ElementPattern:
         kinds are emitted theta-polarized by convention. The magnitude always
         equals ``evaluate(theta, phi)``.
         """
-        theta, phi = _check_angles(theta, phi)
         if self.kind in ("isotropic", "sampled"):
             k = np.asarray(self.evaluate(theta, phi), dtype=complex)
             return k, np.zeros_like(k)
+        theta, phi = _check_angles(theta, phi)
         # axis components along the local theta/phi unit vectors
         ax, ay, az = self.axis
         a_th = ax * np.cos(theta) * np.cos(phi) + ay * np.cos(theta) * np.sin(phi) - az * np.sin(theta)
@@ -277,7 +275,7 @@ def steering_vector(geometry: ArrayGeometry, pattern: ElementPattern, theta: flo
     SteeringVector
         Element responses including the element pattern value.
     """
-    theta, phi = map(float, _check_angles(theta, phi))
+    theta, phi = float(theta), float(phi)
     k_val = pattern.evaluate(theta, phi)
     phase = np.exp(1j * WAVE_NUMBER * np.cos(theta) * geometry.z_positions)
     return SteeringVector(values=k_val * phase)
@@ -294,9 +292,8 @@ def evaluate_array_pattern(geometry: ArrayGeometry, pattern: ElementPattern, exc
         raise DimensionError(
             f"excitation has {a.size} entries for {geometry.element_count} elements"
         )
-    theta, phi = _check_angles(theta, phi)
     k_val = pattern.evaluate(theta, phi)
-    costh = np.cos(theta)
+    costh = np.cos(np.broadcast_to(np.asarray(theta, dtype=float), np.shape(k_val)))
     # sum over elements of a_m * exp(j k z_m cos(theta)), then one pattern factor
     phase = np.exp(1j * WAVE_NUMBER * np.multiply.outer(costh, geometry.z_positions))
     total = k_val * (phase @ a)

@@ -113,7 +113,7 @@ def _compensated(impedance, coupling, steering, x, r_loss=0.0) -> BeamformingSol
         ) from exc
     return BeamformingSolution(
         excitation=b,
-        directivity=coupled_directivity(impedance, coupling, steering, b),
+        directivity=power_quotient(impedance, steering.values, coupling.values @ b),
         condition_number=impedance.condition_number,
         loss_resistance=r_loss,
     )

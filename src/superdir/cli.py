@@ -19,18 +19,15 @@ from .arraymodel import ANALYTIC_KINDS, ArrayGeometry, ElementPattern
 from .beamform import loss_resistance
 from .coupling import ElementFieldLibrary, default_truncation, fixture_testbed
 from .errors import (
-    AccuracyError,
-    ConditioningError,
+    NUMERICAL_FAILURES,
     DataError,
-    DegenerateGeometryError,
     DegenerateInputError,
     DimensionError,
     DomainError,
     InsufficientSamplingError,
-    SingularMatrixError,
     SuperdirError,
 )
-from .radiation import SphereQuadrature, impedance_matrix
+from .radiation import DEFAULT_NODES, SphereQuadrature, impedance_matrix
 from .swe import fit_wave_coefficients, truncation_degree
 from .sweep import SweepSpec, evaluate_point, parse_coupling_source, run_sweep
 
@@ -98,8 +95,8 @@ def _add_pattern_flag(parser):
 
 
 def _add_quadrature_flags(parser):
-    parser.add_argument("--quadrature-theta", type=int, default=64, help="polar quadrature nodes")
-    parser.add_argument("--quadrature-phi", type=int, default=128, help="azimuth quadrature nodes")
+    parser.add_argument("--quadrature-theta", type=int, default=DEFAULT_NODES[0], help="polar quadrature nodes")
+    parser.add_argument("--quadrature-phi", type=int, default=DEFAULT_NODES[1], help="azimuth quadrature nodes")
 
 
 def _quadrature(args) -> SphereQuadrature:
@@ -223,14 +220,19 @@ def _cmd_sweep(args) -> int:
 # ---- swe fit ----------------------------------------------------------------
 
 
-def _resolve_truncation(args) -> int:
-    if getattr(args, "truncation", None) is not None:
+def _resolve_truncation(args, element_count=None) -> int:
+    """N from --truncation, else --radius, else (given an element count) the spacing."""
+    if args.truncation is not None:
         if args.truncation < 1:
             raise UsageError("--truncation must be >= 1")
         return args.truncation
-    if getattr(args, "radius", None) is not None:
+    if args.radius is not None:
         return truncation_degree(args.radius)
-    raise UsageError("one of --truncation or --radius is required")
+    if element_count is None:
+        raise UsageError("one of --truncation or --radius is required")
+    if args.spacing is None and args.spacing_m is None:
+        raise UsageError("one of --truncation, --radius, --spacing or --spacing-m is required")
+    return default_truncation(ArrayGeometry(element_count, _resolve_spacing(args)))
 
 
 def _cmd_swe_fit(args) -> int:
@@ -256,14 +258,7 @@ def _cmd_coupling_estimate(args) -> int:
     isolated = [fileio.read_field_samples(path) for path in args.isolated]
     active = [fileio.read_field_samples(path) for path in args.active]
     library = ElementFieldLibrary(isolated=isolated, active=active)
-    if args.truncation is None and args.radius is None:
-        if args.spacing is None and args.spacing_m is None:
-            raise UsageError(
-                "one of --truncation, --radius, --spacing or --spacing-m is required"
-            )
-        trunc = default_truncation(ArrayGeometry(library.element_count, _resolve_spacing(args)))
-    else:
-        trunc = _resolve_truncation(args)
+    trunc = _resolve_truncation(args, library.element_count)
     estimate = library.estimate(trunc)
     fileio.write_coupling(args.output or sys.stdout, estimate)
     print(
@@ -394,13 +389,7 @@ def main(argv=None) -> int:
     except (DataError, InsufficientSamplingError, DimensionError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"superdir: data error: {exc}", file=sys.stderr)
         return 2
-    except (
-        SingularMatrixError,
-        ConditioningError,
-        AccuracyError,
-        DegenerateGeometryError,
-        DegenerateInputError,
-    ) as exc:
+    except (*NUMERICAL_FAILURES, DegenerateInputError) as exc:
         print(f"superdir: numerical error: {exc}", file=sys.stderr)
         return 3
     except DomainError as exc:

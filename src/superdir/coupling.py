@@ -125,8 +125,7 @@ def synthesize_coupled_fields(isolated: list, coupling: CouplingMatrix) -> list:
     """
     if len(isolated) != coupling.size:
         raise DimensionError("need one isolated field per array element")
-    _require_shared_grid(isolated)
-    dirs = isolated[0].directions
+    dirs = _require_shared_grid(isolated)
     stacked = np.stack([f.values for f in isolated], axis=1)  # (2P, M)
     active_values = stacked @ coupling.values
     return [
@@ -136,6 +135,7 @@ def synthesize_coupled_fields(isolated: list, coupling: CouplingMatrix) -> list:
 
 
 def _require_shared_grid(fields):
+    """The one directions array of a non-empty field list."""
     if not fields:
         raise DimensionError("field list must not be empty")
     dirs = fields[0].directions
@@ -143,6 +143,7 @@ def _require_shared_grid(fields):
         # synthesized fields share one directions array, which needs no compare
         if f.directions is not dirs and not np.array_equal(f.directions, dirs):
             raise DimensionError("all fields must share one direction grid")
+    return dirs
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +182,9 @@ def build_coefficient_set(fields: list, truncation: int) -> np.ndarray:
     is validated once and all columns are solved together by
     solve_wave_coefficients, under the rules of fit_wave_coefficients.
     """
-    _require_shared_grid(fields)
+    dirs = _require_shared_grid(fields)
     rhs = np.stack([f.values for f in fields], axis=1)
-    return solve_wave_coefficients(fields[0].directions, rhs, truncation)[0]
+    return solve_wave_coefficients(dirs, rhs, truncation)[0]
 
 
 def estimate_coupling(isolated_coeffs: np.ndarray, active_coeffs: np.ndarray) -> CouplingMatrix:

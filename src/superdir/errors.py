@@ -51,3 +51,7 @@ class DegenerateGeometryError(SuperdirError, ValueError):
 
 class DataError(SuperdirError, ValueError):
     """A data or configuration file is malformed."""
+
+
+# failures of a well-posed computation: a sweep flags them, the CLI exits 3 on them
+NUMERICAL_FAILURES = (SingularMatrixError, ConditioningError, AccuracyError, DegenerateGeometryError)

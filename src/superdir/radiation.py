@@ -30,6 +30,8 @@ from .errors import (
 _IMAG_RESIDUE_TOL = 1e-10
 _REFINEMENT_TOL = 1e-10
 
+DEFAULT_NODES = (64, 128)  # (theta, phi) node counts of default_quadrature
+
 
 @dataclass(frozen=True, eq=False)
 class SphereQuadrature:
@@ -63,7 +65,9 @@ class SphereQuadrature:
             raise AccuracyError("quadrature does not integrate a constant to 1")
 
     @classmethod
-    def gauss_legendre(cls, theta_count: int = 64, phi_count: int = 128) -> "SphereQuadrature":
+    def gauss_legendre(
+        cls, theta_count: int = DEFAULT_NODES[0], phi_count: int = DEFAULT_NODES[1]
+    ) -> "SphereQuadrature":
         """Standard quadrature with ``theta_count`` polar nodes."""
         if theta_count < 1:
             raise DomainError("theta_count must be >= 1")
@@ -101,8 +105,8 @@ def _cached_gauss_legendre(theta_count, phi_count):
 
 
 def default_quadrature() -> SphereQuadrature:
-    """The 64 x 128 Gauss-Legendre/uniform product rule."""
-    return _cached_gauss_legendre(64, 128)
+    """The Gauss-Legendre/uniform product rule of DEFAULT_NODES."""
+    return _cached_gauss_legendre(*DEFAULT_NODES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +195,7 @@ def impedance_matrix(
     geometry, pattern : ArrayGeometry, ElementPattern
         Array layout and common element pattern.
     quadrature : SphereQuadrature, optional
-        Integration rule; defaults to the 64 x 128 Gauss-Legendre rule.
+        Integration rule; defaults to default_quadrature().
     loading : float, optional
         Diagonal loading delta >= 0 added as delta * I for near-singular
         small-spacing studies. Default 0 (no regularization).

@@ -82,16 +82,19 @@ class SweIndex:
             raise DomainError("order m must satisfy |m| <= n")
 
 
+@functools.lru_cache(maxsize=16)
+def _mode_table(truncation):
+    """Read-only rows (s, m, n) in flattened order; every column index here is a row position."""
+    mode_count(truncation)
+    rows = [(s, m, n) for n in range(1, truncation + 1) for m in range(-n, n + 1) for s in (1, 2)]
+    table = np.array(rows)
+    table.flags.writeable = False
+    return table
+
+
 def index_list(truncation: int) -> list:
     """All modes up to order N in flattened order (s fastest, then m, then n)."""
-    count = mode_count(truncation)
-    out = []
-    for n in range(1, int(truncation) + 1):
-        for m in range(-n, n + 1):
-            out.append(SweIndex(s=1, m=m, n=n))
-            out.append(SweIndex(s=2, m=m, n=n))
-    assert len(out) == count
-    return out
+    return [SweIndex(s=int(s), m=int(m), n=int(n)) for s, m, n in _mode_table(int(truncation))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,16 +246,13 @@ def _order_block(m, truncation, ratio, tau):
     degrees = range(max(1, abs(m)), truncation + 1)
     # stored mode-major so basis_matrix copies whole contiguous rows
     block = np.empty((2 * len(degrees), 2 * ratio.shape[2]), dtype=complex)
-    columns = []
     for k, n in enumerate(degrees):
         te_th, te_ph, tm_th, tm_ph = _mode_factors(n, m, ratio, tau)
         block[2 * k, 0::2] = te_th
         block[2 * k, 1::2] = te_ph
         block[2 * k + 1, 0::2] = tm_th
         block[2 * k + 1, 1::2] = tm_ph
-        first = 2 * (n * n - 1) + 2 * (m + n)  # (s=1, m, n) in index_list order
-        columns.extend((first, first + 1))
-    return block.T, columns
+    return block.T, np.flatnonzero(_mode_table(truncation)[:, 1] == m)
 
 
 def _phased_orders(directions, truncation, orders):
@@ -265,7 +265,7 @@ def _phased_orders(directions, truncation, orders):
     ratio, tau = _angular_tables(truncation, directions[:, 0])
     for m in orders:
         block, columns = _order_block(m, truncation, ratio, tau)
-        yield m, np.asarray(columns), block.T * np.repeat(np.exp(1j * m * directions[:, 1]), 2)
+        yield m, columns, block.T * np.repeat(np.exp(1j * m * directions[:, 1]), 2)
 
 
 def basis_matrix(directions, truncation: int) -> np.ndarray:
@@ -295,7 +295,7 @@ def _conjugate_pairs(truncation):
     (-1)^(s+m+n) of each pair, the columns with m = 0, and 1/omega for those,
     omega being (-j)^(n+1) for TE and (-j)^n for TM.
     """
-    s, m, n = np.array([(i.s, i.m, i.n) for i in index_list(truncation)]).T
+    s, m, n = _mode_table(truncation).T
     plus = np.flatnonzero(m > 0)
     zero = np.flatnonzero(m == 0)
     parity = (-1.0) ** (s + m + n)[plus]
@@ -414,7 +414,6 @@ def _order_factors(truncation, theta_bytes):
     factors = []
     for m in range(-truncation, truncation + 1):
         block, columns = _order_block(m, truncation, ratio, tau)
-        columns = np.asarray(columns)
         u, s, vh = np.linalg.svd(block, full_matrices=False)
         for array in (block, columns, u, s, vh):
             array.flags.writeable = False

@@ -23,16 +23,9 @@ import numpy as np
 from . import fileio
 from .arraymodel import ANALYTIC_KINDS, ArrayGeometry, ElementPattern, steering_vector
 from .beamform import coupled_beamforming, coupled_directivity, gain, optimal_beamforming
-from .coupling import CouplingMatrix, coupling_fixture, estimate_fixture_coupling
-from .errors import (
-    AccuracyError,
-    ConditioningError,
-    DataError,
-    DegenerateGeometryError,
-    DomainError,
-    SingularMatrixError,
-)
-from .radiation import SphereQuadrature, impedance_matrix
+from .coupling import CouplingMatrix, estimate_fixture_coupling
+from .errors import NUMERICAL_FAILURES, DataError, DomainError
+from .radiation import DEFAULT_NODES, SphereQuadrature, impedance_matrix
 
 
 @dataclass(frozen=True)
@@ -54,8 +47,8 @@ class SweepSpec:
     phi0_deg: float = 0.0
     efficiency: float = 1.0
     coupling_source: str = "identity"
-    quadrature_theta: int = 64
-    quadrature_phi: int = 128
+    quadrature_theta: int = DEFAULT_NODES[0]
+    quadrature_phi: int = DEFAULT_NODES[1]
     truncation: int = 0
 
     def __post_init__(self):
@@ -67,6 +60,8 @@ class SweepSpec:
             )
         if not self.spacing_start > 0.0:
             raise DomainError("spacing_start must be positive")
+        if self.spacing_steps > 1 and not np.isfinite(self.spacing_start):
+            raise DomainError("spacing_start must be finite")
         if self.spacing_stop < self.spacing_start:
             raise DomainError("spacing_stop must be >= spacing_start")
         if self.spacing_steps > 1 and not np.isfinite(self.spacing_stop):
@@ -126,9 +121,9 @@ def parse_coupling_source(
 ) -> CouplingMatrix:
     """Resolve a coupling-source string to a matrix.
 
-    ``synthetic:`` sources run the estimation pipeline when a geometry and
-    pattern are supplied, and fall back to the fixture matrix itself
-    otherwise. ``file:`` sources are read by ``fileio.read_coupling``.
+    ``synthetic:`` sources run the estimation pipeline and so need a
+    geometry and a pattern. ``file:`` sources are read by
+    ``fileio.read_coupling``.
     """
     if text == "identity":
         return CouplingMatrix.identity(element_count)
@@ -146,7 +141,7 @@ def parse_coupling_source(
     if text.startswith("synthetic:"):
         gamma, beta = _parse_fixture_params(text[len("synthetic:"):])
         if geometry is None or pattern is None:
-            return coupling_fixture(element_count, gamma, beta)
+            raise DomainError("synthetic coupling source needs a geometry and a pattern")
         return estimate_fixture_coupling(geometry, pattern, gamma, beta, truncation=truncation)
     raise DomainError(f"unknown coupling source {text!r}")
 
@@ -216,12 +211,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
             return evaluate_point(
                 geometry, pattern, quadrature, matrix, theta0, phi0, spec.efficiency
             )[0]
-        except (
-            SingularMatrixError,
-            ConditioningError,
-            AccuracyError,
-            DegenerateGeometryError,
-        ) as exc:
+        except NUMERICAL_FAILURES as exc:
             cond = getattr(exc, "condition_number", None)
             return SweepRow(
                 spacing=float(spacing),

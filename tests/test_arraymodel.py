@@ -16,6 +16,7 @@ from superdir import (
     evaluate_array_pattern,
     steering_vector,
 )
+from superdir import arraymodel
 
 
 # ---- geometry ---------------------------------------------------------------
@@ -300,6 +301,30 @@ def test_every_angle_taking_function_rejects_bad_angles(function, theta, phi, me
 def test_pattern_evaluation_rejects_nan_theta():
     with pytest.raises(DomainError, match="theta must lie"):
         ElementPattern.isotropic().evaluate(np.array([0.1, np.nan]), 0.0)
+
+
+_PATTERN_MAKERS = {
+    "isotropic": ElementPattern.isotropic,
+    "hertzian-dipole": ElementPattern.hertzian_dipole,
+    "half-wave-dipole": ElementPattern.half_wave_dipole,
+    "sampled": _unit_sampled_pattern,
+}
+_DIRECTIONS = (np.array([0.0, 0.7, np.pi]), np.array([0.2, 1.9, 4.0]))
+
+
+@pytest.mark.parametrize("kind", sorted(_PATTERN_MAKERS))
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda pattern: steering_vector(_PAIR, pattern, 0.7, 1.9), id="steering_vector"),
+    pytest.param(lambda pattern: evaluate_array_pattern(_PAIR, pattern, [1.0, 0.5], *_DIRECTIONS),
+                 id="evaluate_array_pattern"),
+    pytest.param(lambda pattern: pattern.polarized(*_DIRECTIONS), id="polarized"),
+])
+def test_each_public_angle_call_checks_its_angles_once(kind, call, monkeypatch):
+    calls = []
+    original = arraymodel._check_angles
+    monkeypatch.setattr(arraymodel, "_check_angles", lambda t, p: calls.append(1) or original(t, p))
+    call(_PATTERN_MAKERS[kind]())
+    assert len(calls) == 1
 
 
 # ---- array pattern ----------------------------------------------------------

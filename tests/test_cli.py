@@ -20,7 +20,9 @@ from superdir import (
     write_coupling,
     write_field_samples,
 )
+from superdir import cli
 from superdir.cli import main
+from superdir.errors import NUMERICAL_FAILURES, DegenerateInputError
 from superdir.swe import default_fit_grid
 
 ENDFIRE_PAIR = ["--antennas", "2", "--spacing", "0.1", "--theta0", "0"]
@@ -82,6 +84,17 @@ def test_singular_coupling_exits_three(tmp_path, capsys):
     )
     assert code == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failure", (*NUMERICAL_FAILURES, DegenerateInputError),
+                         ids=lambda cls: cls.__name__)
+def test_each_numerical_failure_exits_three(failure, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise failure("forced failure")
+
+    monkeypatch.setattr(cli, "evaluate_point", fail)
+    assert main(["beamform", "--antennas", "2", "--spacing", "0.1"]) == 3
+    assert capsys.readouterr() == ("", "superdir: numerical error: forced failure\n")
 
 
 def test_fit_without_truncation_or_radius_exits_one(tmp_path, capsys):
@@ -288,8 +301,6 @@ def test_sweep_flags_override_the_config(tmp_path, capsys):
 def test_sweep_config_key_and_its_flag_reach_the_spec(
     tmp_path, capsys, monkeypatch, key, text, flag, field, from_file, from_flag
 ):
-    from superdir import cli
-
     specs = []
     monkeypatch.setattr(cli, "run_sweep", lambda spec: specs.append(spec) or [])
     cfg = tmp_path / "run.cfg"
@@ -596,6 +607,7 @@ def test_non_finite_lengths_exit_one(flags, message, tmp_path, capsys, monkeypat
     (["impedance", "--antennas", "2", "--spacing", "0.1", "--loading", "nan"],
      "diagonal loading must be >= 0"),
     (["sweep", "--antennas", "2", "--spacing", "0.1:inf:2"], "spacing_stop must be finite"),
+    (["sweep", "--antennas", "2", "--spacing", "inf:inf:2"], "spacing_start must be finite"),
     (["sweep", "--antennas", "2", "--spacing", "0.1:nan:2"], "spacing_stop must be finite"),
     (["sweep", "--antennas", "2", "--spacing", "inf"], "spacing must be finite"),
     (["sweep", "--config", "nan_stop.cfg"], "spacing_stop must be finite"),

@@ -65,6 +65,22 @@ def test_mode_count_and_flattened_order():
     assert (indices[-1].s, indices[-1].m, indices[-1].n) == (2, 2, 2)
 
 
+def _flat_position(s, m, n):
+    """Closed-form position of mode (s, m, n) in the flattened order."""
+    return 2 * (n * n - 1) + 2 * (m + n) + s - 1
+
+
+@pytest.mark.parametrize("truncation", range(1, 20))
+def test_flattened_order_matches_its_closed_form(truncation):
+    positions = [_flat_position(i.s, i.m, i.n) for i in index_list(truncation)]
+    assert positions == list(range(mode_count(truncation)))
+    ratio, tau = _angular_tables(truncation, np.array([0.4, 1.3]))
+    for m in range(-truncation, truncation + 1):
+        _, columns = swe._order_block(m, truncation, ratio, tau)
+        degrees = range(max(1, abs(m)), truncation + 1)
+        assert columns.tolist() == [_flat_position(s, m, n) for n in degrees for s in (1, 2)]
+
+
 def test_index_validation():
     with pytest.raises(DomainError):
         SweIndex(s=3, m=0, n=1)

@@ -17,7 +17,9 @@ from superdir import (
     sweep_rows_to_csv,
     write_coupling,
 )
+from superdir import sweep
 from superdir.arraymodel import ArrayGeometry, ElementPattern
+from superdir.errors import NUMERICAL_FAILURES
 from superdir.radiation import SphereQuadrature
 from superdir.sweep import evaluate_point
 
@@ -56,6 +58,7 @@ def _small_sweep(**overrides):
         {"truncation": -1},
         {"spacing_stop": np.inf},
         {"spacing_stop": np.nan},
+        {"spacing_start": np.inf, "spacing_stop": np.inf},
     ],
 )
 def test_invalid_sweep_specs_are_rejected(overrides):
@@ -107,10 +110,15 @@ def test_file_source_requires_a_path():
         parse_coupling_source("file:", 2)
 
 
-def test_synthetic_source_without_geometry_is_the_exact_fixture():
-    matrix = parse_coupling_source("synthetic:gamma=0.3,beta=1.2", 3)
-    np.testing.assert_array_equal(matrix.values, coupling_fixture(3, 0.3, 1.2).values)
-    assert matrix.source == "prescribed"
+@pytest.mark.parametrize("geometry, pattern", [
+    (None, None),
+    (ArrayGeometry(3, 0.2), None),
+    (None, ElementPattern.hertzian_dipole()),
+])
+def test_synthetic_source_without_geometry_or_pattern_is_rejected(geometry, pattern):
+    with pytest.raises(DomainError) as info:
+        parse_coupling_source("synthetic:gamma=0.3,beta=1.2", 3, geometry=geometry, pattern=pattern)
+    assert str(info.value) == "synthetic coupling source needs a geometry and a pattern"
 
 
 def test_synthetic_source_with_geometry_runs_the_estimator():
@@ -213,6 +221,21 @@ def test_singular_coupling_file_flags_rows_instead_of_aborting(tmp_path):
         assert row.spacing == float(spacing)
         assert np.isnan(row.d_coupled) and np.isnan(row.gain)
         assert row.note != ""
+
+
+@pytest.mark.parametrize("failure", NUMERICAL_FAILURES, ids=lambda cls: cls.__name__)
+def test_each_numerical_failure_becomes_a_flagged_nan_row(failure, monkeypatch):
+    def fail_past_a_quarter_wavelength(geometry, *args):
+        if geometry.spacing > 0.25:
+            raise failure("forced failure")
+        return evaluate_point(geometry, *args)
+
+    monkeypatch.setattr(sweep, "evaluate_point", fail_past_a_quarter_wavelength)
+    rows = run_sweep(_small_sweep())
+    assert [row.note for row in rows] == ["", "", "forced failure", "forced failure"]
+    assert not np.isnan(rows[1].dmax)
+    for row in rows[2:]:
+        assert np.isnan([row.dmax, row.d_traditional, row.d_coupled, row.gain, row.condition_number]).all()
 
 
 @pytest.mark.parametrize("source", ["identity", "file", "synthetic:gamma=0.3,beta=1.1"])
