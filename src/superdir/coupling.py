@@ -105,16 +105,10 @@ def isolated_fields_synthetic(
     """
     dirs = _check_directions(directions)
     theta = dirs[:, 0]
-    phi = dirs[:, 1]
-    e_th, e_ph = pattern.polarized(theta, phi)
-    costh = np.cos(theta)
-    out = []
-    for z_m in geometry.z_positions:
-        shift = np.exp(1j * WAVE_NUMBER * costh * z_m)
-        out.append(
-            FieldSampleSet.from_components(dirs, e_th * shift, e_ph * shift)
-        )
-    return out
+    element = np.stack(pattern.polarized(theta, dirs[:, 1]), axis=1).reshape(-1, 1)  # (2P, 1)
+    phase = np.exp((1j * WAVE_NUMBER * np.cos(theta))[:, None] * geometry.z_positions)
+    table = element * np.repeat(phase, 2, axis=0)  # (2P, M)
+    return [FieldSampleSet(directions=dirs, values=column) for column in table.T]
 
 
 def synthesize_coupled_fields(isolated: list, coupling: CouplingMatrix) -> list:
@@ -125,17 +119,12 @@ def synthesize_coupled_fields(isolated: list, coupling: CouplingMatrix) -> list:
     """
     if len(isolated) != coupling.size:
         raise DimensionError("need one isolated field per array element")
-    dirs = _require_shared_grid(isolated)
-    stacked = np.stack([f.values for f in isolated], axis=1)  # (2P, M)
-    active_values = stacked @ coupling.values
-    return [
-        FieldSampleSet(directions=dirs, values=active_values[:, n])
-        for n in range(coupling.size)
-    ]
+    dirs, table = _field_table(isolated)
+    return [FieldSampleSet(directions=dirs, values=column) for column in (table @ coupling.values).T]
 
 
-def _require_shared_grid(fields):
-    """The one directions array of a non-empty field list."""
+def _field_table(fields, stack=True):
+    """(shared directions, (2P, K) value table) of a non-empty field list; ``stack`` False skips the table."""
     if not fields:
         raise DimensionError("field list must not be empty")
     dirs = fields[0].directions
@@ -143,7 +132,7 @@ def _require_shared_grid(fields):
         # synthesized fields share one directions array, which needs no compare
         if f.directions is not dirs and not np.array_equal(f.directions, dirs):
             raise DimensionError("all fields must share one direction grid")
-    return dirs
+    return dirs, np.stack([f.values for f in fields], axis=1) if stack else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +145,7 @@ class ElementFieldLibrary:
     def __post_init__(self):
         if len(self.isolated) != len(self.active) or not self.isolated:
             raise DimensionError("need equally many isolated and active fields")
-        _require_shared_grid(list(self.isolated) + list(self.active))
+        _field_table(list(self.isolated) + list(self.active), stack=False)
         object.__setattr__(self, "isolated", list(self.isolated))
         object.__setattr__(self, "active", list(self.active))
 
@@ -182,9 +171,7 @@ def build_coefficient_set(fields: list, truncation: int) -> np.ndarray:
     is validated once and all columns are solved together by
     solve_wave_coefficients, under the rules of fit_wave_coefficients.
     """
-    dirs = _require_shared_grid(fields)
-    rhs = np.stack([f.values for f in fields], axis=1)
-    return solve_wave_coefficients(dirs, rhs, truncation)[0]
+    return solve_wave_coefficients(*_field_table(fields), truncation)[0]
 
 
 def estimate_coupling(isolated_coeffs: np.ndarray, active_coeffs: np.ndarray) -> CouplingMatrix:

@@ -111,13 +111,10 @@ class FieldSampleSet:
 
     def __post_init__(self):
         dirs = _check_directions(self.directions)
-        vals = np.asarray(self.values, dtype=complex).reshape(-1)
-        if vals.size != 2 * dirs.shape[0]:
-            raise DimensionError("values must interleave 2 components per direction")
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("field values must be finite")
-        ordered = dirs[np.lexsort((dirs[:, 1], dirs[:, 0]))]
-        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
+        vals = _check_values(self.values, dirs.shape[0], 1).reshape(-1)
+        # complex order is (theta, phi) order, so equal directions end up adjacent
+        ordered = np.sort(dirs[:, 0] + 1j * dirs[:, 1])
+        if np.any(ordered[1:] == ordered[:-1]):
             raise DomainError("directions contain duplicates")
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "values", vals)
@@ -220,6 +217,18 @@ def _check_directions(directions):
         raise DimensionError("directions must have shape (P, 2)")
     _check_angles(dirs[:, 0], dirs[:, 1])
     return dirs
+
+
+def _check_values(values, point_count, fields=-1):
+    """(2P, K) complex table of ``fields`` finite fields (-1: any number), one per column."""
+    vals = np.asarray(values, dtype=complex)
+    try:
+        table = vals.reshape(2 * point_count, fields)
+    except ValueError:
+        raise DimensionError("values must interleave 2 components per direction") from None
+    if not np.all(np.isfinite(table)):
+        raise DomainError("field values must be finite")
+    return table
 
 
 def _mode_factors(n, m, ratio, tau):
@@ -452,10 +461,11 @@ def _fit_by_order(theta_rows, columns, values, truncation, rcond):
 def solve_wave_coefficients(directions, values, truncation: int):
     """Least-squares mode coefficients of fields sampled on shared directions.
 
-    ``values`` is (2P, K) in the interleaved sample layout, one field per
-    column. Singular values below max(2P, 2N(N+2)) * eps * sigma_max are
-    treated as zero, and a fit whose effective rank falls below the mode
-    count raises ConditioningError rather than silently truncating.
+    ``values`` is (2P, K) in the interleaved sample layout, one finite field
+    per column, checked as FieldSampleSet checks its values. Singular values
+    below max(2P, 2N(N+2)) * eps * sigma_max are treated as zero, and a fit
+    whose effective rank falls below the mode count raises ConditioningError
+    rather than silently truncating.
 
     Theta-major equiangular grids (C directions per theta row at
     phi_l = 2 pi l / C, C >= 2N+1) are solved one azimuthal order at a time;
@@ -469,7 +479,7 @@ def solve_wave_coefficients(directions, values, truncation: int):
         column.
     """
     dirs = _check_directions(directions)
-    rhs = np.asarray(values, dtype=complex).reshape(2 * dirs.shape[0], -1)
+    rhs = _check_values(values, dirs.shape[0])
     trunc = int(truncation)
     modes = mode_count(trunc)
     n_rows = rhs.shape[0]

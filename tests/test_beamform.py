@@ -143,6 +143,14 @@ def test_ill_conditioned_optimum_matches_the_50_digit_oracle(m, spacing):
     assert dmax == pytest.approx(isotropic_endfire_dmax(m, spacing), rel=tolerance)
 
 
+@pytest.mark.parametrize("spacing", [0.01, 0.02, 0.05])
+def test_endfire_oracle_carries_enough_digits_at_sixteen_elements(spacing):
+    # at a fixed 50 digits the oracle returned 228.045 for 255.916 at 0.01 wavelengths
+    assert isotropic_endfire_dmax(16, spacing) == pytest.approx(
+        isotropic_endfire_dmax(16, spacing, digits=150), rel=1e-12
+    )
+
+
 def test_optimum_rises_as_the_spacing_shrinks_and_survives_identity_coupling():
     # superdirectivity: D_max grows monotonically toward M^2 as d -> 0
     identity = CouplingMatrix.identity(8)

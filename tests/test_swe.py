@@ -562,3 +562,30 @@ def test_square_dense_fit_reports_its_residual():
     np.testing.assert_allclose(residuals, reference_res, rtol=0.0, atol=1e-12)
     assert np.all(residuals < 1e-10)
     assert np.max(np.abs(coefficients - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("grid_kind", ["equiangular", "random"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_fit_rejects_non_finite_values_on_both_paths(grid_kind, bad):
+    truncation = 3
+    rng = np.random.default_rng(92)
+    grid = default_fit_grid(truncation)
+    if grid_kind == "random":
+        grid = _random_directions(rng, grid.shape[0])
+    values = _noisy_fields(rng, grid, truncation)
+    values[5, 0] = bad
+    with pytest.raises(DomainError, match="field values must be finite"):
+        solve_wave_coefficients(grid, values, truncation)
+
+
+@pytest.mark.parametrize("grid_kind", ["equiangular", "random"])
+def test_fit_rejects_values_that_do_not_interleave_two_components(grid_kind):
+    truncation = 3
+    rng = np.random.default_rng(93)
+    grid = default_fit_grid(truncation)
+    if grid_kind == "random":
+        grid = _random_directions(rng, grid.shape[0])
+    values = _noisy_fields(rng, grid, truncation)
+    for wrong in (values[:-1], values[:-2, 0]):
+        with pytest.raises(DimensionError, match="values must interleave 2 components"):
+            solve_wave_coefficients(grid, wrong, truncation)
