@@ -276,9 +276,13 @@ def steering_vector(geometry: ArrayGeometry, pattern: ElementPattern, theta: flo
         Element responses including the element pattern value.
     """
     theta, phi = float(theta), float(phi)
-    k_val = pattern.evaluate(theta, phi)
-    phase = np.exp(1j * WAVE_NUMBER * np.cos(theta) * geometry.z_positions)
-    return SteeringVector(values=k_val * phase)
+    return _steering(pattern.evaluate(theta, phi), theta, geometry.z_positions)
+
+
+def _steering(pattern_value, theta: float, z_positions) -> SteeringVector:
+    """Steering vector toward theta from the pattern's value there, which a sweep evaluates once."""
+    phase = np.exp(1j * WAVE_NUMBER * np.cos(theta) * z_positions)
+    return SteeringVector(values=pattern_value * phase)
 
 
 def evaluate_array_pattern(geometry: ArrayGeometry, pattern: ElementPattern, excitation, theta, phi):

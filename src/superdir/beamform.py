@@ -119,6 +119,15 @@ def _compensated(impedance, coupling, steering, x, r_loss=0.0) -> BeamformingSol
     )
 
 
+def _optimum(impedance, x, dmax) -> BeamformingSolution:
+    """The unit-power optimum x / sqrt(D_max) from _solve_steering's x and D_max."""
+    return BeamformingSolution(
+        excitation=x / np.sqrt(dmax),
+        directivity=dmax,
+        condition_number=impedance.condition_number,
+    )
+
+
 def loss_resistance(efficiency: float) -> float:
     """Normalized series loss resistance (1 - eta) / eta of one element."""
     if not 0.0 < efficiency <= 1.0:
@@ -133,12 +142,7 @@ def optimal_beamforming(impedance: ImpedanceMatrix, steering: SteeringVector) ->
     which upper-bounds the directivity of every other excitation.
     """
     _check_sizes(impedance, steering)
-    x, dmax = _solve_steering(impedance, steering)
-    return BeamformingSolution(
-        excitation=x / np.sqrt(dmax),
-        directivity=dmax,
-        condition_number=impedance.condition_number,
-    )
+    return _optimum(impedance, *_solve_steering(impedance, steering))
 
 
 def coupled_directivity(

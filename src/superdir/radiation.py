@@ -31,6 +31,8 @@ _IMAG_RESIDUE_TOL = 1e-10
 _REFINEMENT_TOL = 1e-10
 
 DEFAULT_NODES = (64, 128)  # (theta, phi) node counts of default_quadrature
+# phase-table bytes of one block of a sweep's spacings; building a block peaks near 3.5x this
+_STACK_BYTES = 2**19
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,23 +163,61 @@ def _ring_weights(pattern, quadrature):
     return g
 
 
-def _integrate_impedance(geometry, pattern, quadrature):
-    """Quadrature of the impedance integrand, exploiting the z-axis layout.
+def _impedance_stack(spacings, element_count, pattern, quadrature, loading=0.0):
+    """Impedance matrices of one element count at each of ``spacings``, built together.
 
-    Returns Z and the weighted phases B = sqrt(g/4pi) [Re P; Im P] whose Gram
-    matrix B^T B is Z, since Re(P^T g P*) = Re^T g Re + Im^T g Im.
+    One phase table P (S, T, M) and one batched matmul give every Z, since
+    the spacings share the ring weights g. Returns one ImpedanceMatrix per
+    spacing, with ``loading`` I added and its condition number and factor
+    each from one stacked call; the unloaded Z stack (S, M, M); and the
+    largest imaginary residue of each Z (S,), which the caller passes to
+    _check_residue before using that matrix. The factor is the QR ``r`` of
+    [B; sqrt(loading) I] with B = sqrt(g/4pi) [Re P; Im P], whose Gram
+    matrix B^T B is Z since Re(P^T g P*) = Re^T g Re + Im^T g Im.
     """
     g = _ring_weights(pattern, quadrature)
-    phases = np.exp(1j * WAVE_NUMBER * np.outer(np.cos(quadrature.theta), geometry.z_positions))
-    raw = (phases.T * g) @ phases.conj() / (4.0 * np.pi)
-    residue = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
+    nodes = quadrature.theta.size
+    z = spacings[:, None] * np.arange(element_count, dtype=float)
+    phases = np.exp(1j * WAVE_NUMBER * (np.cos(quadrature.theta)[None, :, None] * z[:, None, :]))
+    raw = (np.swapaxes(phases, 1, 2) * g) @ phases.conj() / (4.0 * np.pi)
+    residues = np.max(np.abs(raw.imag), axis=(1, 2))
+    values = 0.5 * (raw.real + np.swapaxes(raw.real, 1, 2))
+    identity = np.eye(element_count)
+    loaded = values + loading * identity if loading > 0.0 else values
+    conds = np.linalg.cond(loaded)
+    # the loading rows also keep R square when there are fewer nodes than elements
+    rows = np.empty((spacings.size, 2 * nodes + element_count, element_count))
+    phases *= np.sqrt(g / (4.0 * np.pi))[:, None]
+    rows[:, :nodes] = phases.real
+    rows[:, nodes:2 * nodes] = phases.imag
+    rows[:, 2 * nodes:] = np.sqrt(loading) * identity
+    matrices = []
+    for value, cond, factor in zip(loaded, conds, np.linalg.qr(rows, mode="r")):
+        impedance = ImpedanceMatrix(values=value, condition_number=float(cond))
+        object.__setattr__(impedance, "factor", factor)
+        matrices.append(impedance)
+    return matrices, values, residues
+
+
+def _check_residue(residue):
     if residue > _IMAG_RESIDUE_TOL:
         raise AccuracyError(
-            f"impedance integrand left an imaginary residue of {residue:.3e}"
+            f"impedance integrand left an imaginary residue of {float(residue):.3e}"
         )
-    real = raw.real
-    scaled = phases * np.sqrt(g / (4.0 * np.pi))[:, None]
-    return 0.5 * (real + real.T), np.vstack((scaled.real, scaled.imag))
+
+
+def _impedance_blocks(spacings, element_count, pattern, quadrature):
+    """(ImpedanceMatrix, imaginary residue) at each spacing in order, unloaded.
+
+    Builds one stack per block of spacings whose phase table fits in
+    _STACK_BYTES, so memory does not grow with the number of spacings.
+    """
+    block = max(1, _STACK_BYTES // (16 * quadrature.theta.size * element_count))
+    for start in range(0, len(spacings), block):
+        matrices, _, residues = _impedance_stack(
+            spacings[start:start + block], element_count, pattern, quadrature
+        )
+        yield from zip(matrices, residues)
 
 
 def impedance_matrix(
@@ -214,22 +254,21 @@ def impedance_matrix(
     if not np.isfinite(loading):
         raise DomainError("diagonal loading must be finite")
     quadrature = quadrature or default_quadrature()
-    values, weighted = _integrate_impedance(geometry, pattern, quadrature)
+    spacing = np.array([geometry.spacing])
+    count = geometry.element_count
+    matrices, values, residues = _impedance_stack(spacing, count, pattern, quadrature, loading)
+    _check_residue(residues[0])
     if certified:
-        refined, _ = _integrate_impedance(geometry, pattern, quadrature.double_density())
-        drift = float(np.max(np.abs(values - refined)))
+        _, refined, refined_residues = _impedance_stack(
+            spacing, count, pattern, quadrature.double_density()
+        )
+        _check_residue(refined_residues[0])
+        drift = float(np.max(np.abs(values[0] - refined[0])))
         if drift > _REFINEMENT_TOL:
             raise AccuracyError(
                 f"quadrature too coarse: refinement moved entries by {drift:.3e}"
             )
-    identity = np.eye(geometry.element_count)
-    if loading > 0.0:
-        values = values + loading * identity
-    impedance = ImpedanceMatrix(values=values, condition_number=float(np.linalg.cond(values)))
-    # the loading rows also keep R square when there are fewer nodes than elements
-    factor = np.linalg.qr(np.vstack((weighted, np.sqrt(loading) * identity)), mode="r")
-    object.__setattr__(impedance, "factor", factor)
-    return impedance
+    return matrices[0]
 
 
 def power_quotient(impedance: ImpedanceMatrix, e, w, r_loss: float = 0.0) -> float:

@@ -2,9 +2,14 @@
 
 Points run one after another in spacing order. Work that does not depend on
 the spacing is done once per sweep: one element pattern and one quadrature
-serve every point, so the impedance ring weights are computed once, and the
-spherical-wave fits of a synthetic source reuse the cached per-order factors
-of each truncation order.
+serve every point, so the impedance ring weights are computed once, the
+pattern toward (theta0, phi0) is evaluated once, and the spherical-wave fits
+of a synthetic source reuse the cached per-order factors of each truncation
+order. The impedance matrices of all spacings are built as one stack (one
+phase table, one batched matmul, one stacked cond and QR), a block of
+spacings at a time so that memory does not grow with the number of steps.
+Each point then solves for the optimum once and derives the compensated
+excitation from the same solve.
 
 Coupling sources: ``identity`` and ``file:<path>`` supply the matrix
 directly; ``synthetic:gamma=<g>,beta=<b>`` synthesizes the parametric
@@ -16,16 +21,23 @@ would do (the truncation override applies there).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fileio
-from .arraymodel import ANALYTIC_KINDS, ArrayGeometry, ElementPattern, steering_vector
-from .beamform import coupled_beamforming, coupled_directivity, gain, optimal_beamforming
+from .arraymodel import ANALYTIC_KINDS, ArrayGeometry, ElementPattern, _steering, steering_vector
+from .beamform import _compensated, _optimum, _solve_steering, coupled_directivity, gain
 from .coupling import CouplingMatrix, estimate_fixture_coupling
 from .errors import NUMERICAL_FAILURES, DataError, DomainError
-from .radiation import DEFAULT_NODES, SphereQuadrature, impedance_matrix
+from .radiation import (
+    DEFAULT_NODES,
+    SphereQuadrature,
+    _check_residue,
+    _impedance_blocks,
+    impedance_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -52,6 +64,13 @@ class SweepSpec:
     truncation: int = 0
 
     def __post_init__(self):
+        for name in ("spacing_steps", "quadrature_theta", "quadrature_phi", "truncation"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) and not (
+                isinstance(value, float) and value.is_integer()
+            ):
+                raise DomainError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
         if self.antennas < 1:
             raise DomainError("antennas must be >= 1")
         if self.pattern_kind not in ANALYTIC_KINDS:
@@ -166,12 +185,22 @@ def evaluate_point(
     """
     impedance = impedance_matrix(geometry, pattern, quadrature, loading=loading)
     steering = steering_vector(geometry, pattern, theta0, phi0)
-    uncoupled = optimal_beamforming(impedance, steering)
+    return _beamform_point(impedance, steering, coupling, efficiency, geometry.spacing)
+
+
+def _beamform_point(impedance, steering, coupling, efficiency, spacing) -> tuple:
+    """The beamforming of one point from one steering solve: its row and excitation.
+
+    The unnormalized x = Z^-1 e* gives both the optimum and the compensated
+    excitation. evaluate_point and run_sweep share this step.
+    """
+    x, dmax = _solve_steering(impedance, steering)
+    uncoupled = _optimum(impedance, x, dmax)
     d_trad = coupled_directivity(impedance, coupling, steering, uncoupled.excitation)
-    compensated = coupled_beamforming(impedance, coupling, steering)
+    compensated = _compensated(impedance, coupling, steering, x)
     g = gain(impedance, coupling, steering, compensated.excitation, efficiency)
     row = SweepRow(
-        spacing=geometry.spacing,
+        spacing=spacing,
         dmax=uncoupled.directivity,
         d_traditional=d_trad,
         d_coupled=compensated.directivity,
@@ -184,20 +213,23 @@ def evaluate_point(
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
     """Evaluate every sweep point, in spacing order.
 
-    Each point is one evaluate_point call. Singular or untrustworthy points
-    are flagged with NaNs and the sweep continues. ``threads`` is accepted
-    for compatibility and ignored: points run serially.
+    Builds the impedance matrices of all spacings as one stack and evaluates
+    the pattern toward (theta0, phi0) once; each point is then one
+    _beamform_point step. Singular or untrustworthy points are flagged with
+    NaNs and the sweep continues. ``threads`` is accepted for compatibility
+    and ignored: points run serially.
     """
     pattern = ElementPattern.from_kind(spec.pattern_kind)
     quadrature = SphereQuadrature.gauss_legendre(spec.quadrature_theta, spec.quadrature_phi)
     fixed_matrix = None
     if not spec.coupling_source.startswith("synthetic:"):
         fixed_matrix = parse_coupling_source(spec.coupling_source, spec.antennas)
+    spacings = spec.spacings
+    geometries = [ArrayGeometry(spec.antennas, float(s)) for s in spacings]
     theta0 = math.radians(spec.theta0_deg)
-    phi0 = math.radians(spec.phi0_deg)
+    pattern_value = pattern.evaluate(theta0, math.radians(spec.phi0_deg))
 
-    def one_point(spacing: float) -> SweepRow:
-        geometry = ArrayGeometry(spec.antennas, float(spacing))
+    def one_point(geometry: ArrayGeometry, impedance, residue) -> SweepRow:
         try:
             matrix = fixed_matrix
             if matrix is None:
@@ -208,13 +240,13 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
                     pattern=pattern,
                     truncation=spec.truncation,
                 )
-            return evaluate_point(
-                geometry, pattern, quadrature, matrix, theta0, phi0, spec.efficiency
-            )[0]
+            _check_residue(residue)
+            steering = _steering(pattern_value, theta0, geometry.z_positions)
+            return _beamform_point(impedance, steering, matrix, spec.efficiency, geometry.spacing)[0]
         except NUMERICAL_FAILURES as exc:
             cond = getattr(exc, "condition_number", None)
             return SweepRow(
-                spacing=float(spacing),
+                spacing=geometry.spacing,
                 dmax=float("nan"),
                 d_traditional=float("nan"),
                 d_coupled=float("nan"),
@@ -223,4 +255,5 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
                 note=str(exc),
             )
 
-    return [one_point(s) for s in spec.spacings]
+    matrices = _impedance_blocks(spacings, spec.antennas, pattern, quadrature)
+    return [one_point(g, *built) for g, built in zip(geometries, matrices)]

@@ -1,9 +1,12 @@
 """Sphere quadrature, the normalized impedance matrix, and directivity."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from oracles import brute_force_directivity
+from superdir import radiation
 from superdir import (
     AccuracyError,
     ArrayGeometry,
@@ -16,6 +19,7 @@ from superdir import (
     directivity,
     impedance_matrix,
 )
+from superdir.arraymodel import ANALYTIC_KINDS, WAVE_NUMBER
 
 
 def _sinc_matrix(geometry):
@@ -160,6 +164,47 @@ def test_diagonal_loading_adds_delta_to_the_diagonal():
     for bad, message in ((-1e-3, ">= 0"), (np.nan, ">= 0"), (np.inf, "finite")):
         with pytest.raises(DomainError, match=f"diagonal loading must be {message}"):
             impedance_matrix(geometry, ElementPattern.isotropic(), loading=bad)
+
+
+def _one_spacing_reference(geometry, pattern, quadrature, loading):
+    """One Z as a two-dimensional build: Z, loaded Z, cond, factor and residue."""
+    g = radiation._ring_weights(pattern, quadrature)
+    phases = np.exp(1j * WAVE_NUMBER * np.outer(np.cos(quadrature.theta), geometry.z_positions))
+    raw = (phases.T * g) @ phases.conj() / (4.0 * np.pi)
+    values = 0.5 * (raw.real + raw.real.T)
+    scaled = phases * np.sqrt(g / (4.0 * np.pi))[:, None]
+    identity = np.eye(geometry.element_count)
+    loaded = values + loading * identity if loading > 0.0 else values
+    rows = np.vstack((scaled.real, scaled.imag, np.sqrt(loading) * identity))
+    factor = np.linalg.qr(rows, mode="r")
+    return values, loaded, np.linalg.cond(loaded), factor, np.max(np.abs(raw.imag))
+
+
+@pytest.mark.parametrize("kind", ANALYTIC_KINDS)
+def test_stacked_build_is_the_one_spacing_build_bit_for_bit(kind):
+    # 3 node counts x 7 element counts x 2 loadings x (1 + 23 spacings); the
+    # 3-node rule has fewer nodes than most of the element counts
+    pattern = ElementPattern.from_kind(kind)
+    grid = itertools.product(((64, 128), (16, 32), (3, 8)), (1, 2, 3, 5, 8, 12, 16), (0.0, 1e-3))
+    for nodes, count, loading in grid:
+        quadrature = SphereQuadrature.gauss_legendre(*nodes)
+        for spacings in (np.array([0.137]), np.linspace(0.02, 0.7, 23)):
+            stack = radiation._impedance_stack(spacings, count, pattern, quadrature, loading)
+            assert [len(part) for part in stack] == [spacings.size] * 3
+            for spacing, built, unloaded, residue in zip(spacings, *stack):
+                geometry = ArrayGeometry(count, float(spacing))
+                expected = _one_spacing_reference(geometry, pattern, quadrature, loading)
+                got = (unloaded, built.values, built.condition_number, built.factor, residue)
+                for value, reference in zip(got, expected):
+                    assert np.asarray(value).tobytes() == np.asarray(reference).tobytes()
+                if residue > radiation._IMAG_RESIDUE_TOL:
+                    with pytest.raises(AccuracyError, match="imaginary residue"):
+                        impedance_matrix(geometry, pattern, quadrature, loading=loading)
+                    continue
+                single = impedance_matrix(geometry, pattern, quadrature, loading=loading)
+                assert single.values.tobytes() == built.values.tobytes()
+                assert single.factor.tobytes() == built.factor.tobytes()
+                assert single.condition_number == built.condition_number
 
 
 def test_condition_number_grows_as_spacing_shrinks():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from superdir import (
+    AccuracyError,
     CouplingMatrix,
     DataError,
     DomainError,
@@ -17,7 +18,7 @@ from superdir import (
     sweep_rows_to_csv,
     write_coupling,
 )
-from superdir import sweep
+from superdir import radiation, sweep
 from superdir.arraymodel import ArrayGeometry, ElementPattern
 from superdir.errors import NUMERICAL_FAILURES
 from superdir.radiation import SphereQuadrature
@@ -64,6 +65,20 @@ def _small_sweep(**overrides):
 def test_invalid_sweep_specs_are_rejected(overrides):
     with pytest.raises(DomainError):
         _small_sweep(**overrides)
+
+
+@pytest.mark.parametrize("name", ["spacing_steps", "quadrature_theta", "quadrature_phi", "truncation"])
+@pytest.mark.parametrize("value", [2.5, 8.5, np.nan, np.inf, "3"])
+def test_non_integral_counts_are_rejected_by_name(name, value):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer$"):
+        _small_sweep(**{name: value})
+
+
+def test_integral_float_counts_become_integers():
+    spec = _small_sweep(spacing_steps=3.0, quadrature_theta=np.float64(16), truncation=np.int64(4))
+    assert (spec.spacing_steps, spec.quadrature_theta, spec.truncation) == (3, 16, 4)
+    assert all(type(n) is int for n in (spec.spacing_steps, spec.quadrature_theta, spec.truncation))
+    assert len(run_sweep(spec)) == 3
 
 
 def test_spacing_grid_is_evenly_spaced():
@@ -225,17 +240,58 @@ def test_singular_coupling_file_flags_rows_instead_of_aborting(tmp_path):
 
 @pytest.mark.parametrize("failure", NUMERICAL_FAILURES, ids=lambda cls: cls.__name__)
 def test_each_numerical_failure_becomes_a_flagged_nan_row(failure, monkeypatch):
-    def fail_past_a_quarter_wavelength(geometry, *args):
-        if geometry.spacing > 0.25:
-            raise failure("forced failure")
-        return evaluate_point(geometry, *args)
+    beamform_point = sweep._beamform_point
 
-    monkeypatch.setattr(sweep, "evaluate_point", fail_past_a_quarter_wavelength)
+    def fail_past_a_quarter_wavelength(*args):
+        if args[-1] > 0.25:  # the point's spacing
+            raise failure("forced failure")
+        return beamform_point(*args)
+
+    monkeypatch.setattr(sweep, "_beamform_point", fail_past_a_quarter_wavelength)
     rows = run_sweep(_small_sweep())
     assert [row.note for row in rows] == ["", "", "forced failure", "forced failure"]
     assert not np.isnan(rows[1].dmax)
     for row in rows[2:]:
         assert np.isnan([row.dmax, row.d_traditional, row.d_coupled, row.gain, row.condition_number]).all()
+
+
+def test_an_imaginary_residue_flags_only_its_own_spacing(monkeypatch):
+    # default-quadrature residues of these spacings run from about 4e-17 to 1.1e-16
+    monkeypatch.setattr(radiation, "_IMAG_RESIDUE_TOL", 7e-17)
+    spec = _small_sweep(antennas=3, spacing_steps=12, pattern_kind="hertzian-dipole")
+    pattern = ElementPattern.from_kind(spec.pattern_kind)
+    quadrature = SphereQuadrature.gauss_legendre(spec.quadrature_theta, spec.quadrature_phi)
+    expected = []
+    for spacing in spec.spacings:
+        try:
+            evaluate_point(ArrayGeometry(3, float(spacing)), pattern, quadrature,
+                           CouplingMatrix.identity(3), 0.0, 0.0, spec.efficiency)
+            expected.append("")
+        except AccuracyError as exc:
+            expected.append(str(exc))
+    assert "" in expected and any(note.startswith("impedance integrand left") for note in expected)
+    assert [row.note for row in run_sweep(spec)] == expected
+
+
+def test_a_sweep_in_any_number_of_blocks_writes_the_same_csv(monkeypatch):
+    spec = _small_sweep(antennas=5, pattern_kind="half-wave-dipole", spacing_start=0.02,
+                        spacing_stop=0.6, spacing_steps=300, efficiency=0.9)
+    default = sweep_rows_to_csv(run_sweep(spec))
+    sizes = []
+    stack = radiation._impedance_stack
+
+    def recording(spacings, *args):
+        sizes.append(spacings.size)
+        return stack(spacings, *args)
+
+    monkeypatch.setattr(radiation, "_impedance_stack", recording)
+    per_spacing = 16 * spec.quadrature_theta * spec.antennas  # phase-table bytes
+    for budget, expected in ((300 * per_spacing, [300]), (7 * per_spacing + 100, [7] * 42 + [6]),
+                             (1, [1] * 300)):
+        sizes.clear()
+        monkeypatch.setattr(radiation, "_STACK_BYTES", budget)
+        assert sweep_rows_to_csv(run_sweep(spec)) == default
+        assert sizes == expected
 
 
 @pytest.mark.parametrize("source", ["identity", "file", "synthetic:gamma=0.3,beta=1.1"])
