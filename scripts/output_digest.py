@@ -11,7 +11,9 @@ gain-optimal excitations, ``radiation.directivity`` values, error messages,
 ill-conditioning warnings, and, through the CLI alone: ``superdir impedance``
 CSVs, ``beamform --output`` files and ``--loading`` runs, ``sweep --output``
 files, ``coupling synth`` files, ``coupling estimate`` CSVs on that testbed,
-``swe fit`` CSVs and the ``--help`` of every command; and, through both, the
+``swe fit`` CSVs, ``swe fit`` and ``coupling estimate`` on seeded noisy fields
+at random directions (the dense fit: well-sampled, clustered in one cap, and
+rank-deficient) and the ``--help`` of every command; and, through both, the
 error of each bad angle and non-finite scalar. Uses only the public API and
 the CLI; every CLI group also records exit codes and stderr, with the
 scratch directory's path replaced by ``<work>``.
@@ -352,6 +354,50 @@ def swe_fit(workdir):
     return f"{len(parts)} parts", _digest(parts)
 
 
+def _random_field_files(workdir, name, rng, directions):
+    """Noisy isolated and active fields of a 3-element Hertzian-dipole testbed, as CSV paths."""
+    geometry = superdir.ArrayGeometry(3, 0.2)
+    isolated = superdir.isolated_fields_synthetic(
+        geometry, superdir.ElementPattern.from_kind("hertzian-dipole"), directions
+    )
+    active = superdir.synthesize_coupled_fields(isolated, superdir.coupling_fixture(3, 0.3, 1.1))
+    paths = []
+    for kind, fields in (("isolated", isolated), ("active", active)):
+        for i, field in enumerate(fields, start=1):
+            noise = rng.standard_normal(field.values.size) + 1j * rng.standard_normal(field.values.size)
+            scale = 1e-6 * np.max(np.abs(field.values))
+            paths.append(os.path.join(workdir, f"{name}_{kind}_{i}.csv"))
+            superdir.write_field_samples(
+                paths[-1], superdir.FieldSampleSet(directions, field.values + scale * noise)
+            )
+    return paths[:3], paths[3:]
+
+
+def dense_fit(workdir):
+    rng = np.random.default_rng(17)
+    sphere = np.column_stack((np.arccos(rng.uniform(-1.0, 1.0, 600)),
+                              rng.uniform(0.0, 2.0 * np.pi, 600)))
+    cap = np.column_stack((np.arccos(rng.uniform(np.cos(0.7), 1.0, 300)),
+                           rng.uniform(0.0, 2.0 * np.pi, 300)))
+    isolated, active = _random_field_files(workdir, "sphere", rng, sphere)
+    cap_isolated, _ = _random_field_files(workdir, "cap", rng, cap)
+    q_file, c_file = os.path.join(workdir, "dense_q.csv"), os.path.join(workdir, "dense_c.csv")
+    parts = []
+    for command in (
+        ["swe", "fit", "--input", isolated[1], "--truncation", "6"],
+        ["swe", "fit", "--input", active[2], "--radius", "0.3", "--output", q_file],
+        ["coupling", "estimate", "--isolated", *isolated, "--active", *active, "--truncation", "8"],
+        ["coupling", "estimate", "--isolated", *isolated, "--active", *active, "--spacing", "0.2",
+         "--output", c_file],
+        # clustered in one cap: full rank at N = 4 (cond about 1e6), rank-deficient at N = 12
+        ["swe", "fit", "--input", cap_isolated[0], "--truncation", "4"],
+        ["swe", "fit", "--input", cap_isolated[0], "--truncation", "12"],
+    ):
+        parts.append(_run_cli(command, workdir))
+    parts += _files([q_file, c_file])
+    return f"{len(parts)} parts", _digest(parts)
+
+
 def input_errors(workdir):
     geometry = superdir.ArrayGeometry(2, 0.3)
     sampled = superdir.ElementPattern.sampled(
@@ -403,8 +449,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for group in (sweeps, beamform_stdout, sweep_help, gain_optimal, radiation_directivity,
                       errors, ill_conditioning_warnings, impedance_csv, beamform_files,
-                      sweep_files, coupling_synth, coupling_estimate, swe_fit, help_texts,
-                      input_errors):
+                      sweep_files, coupling_synth, coupling_estimate, swe_fit, dense_fit,
+                      help_texts, input_errors):
             what, digest = group(workdir)
             print(f"{group.__name__:26s} {digest}  ({what})")
     return 0

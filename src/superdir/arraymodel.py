@@ -8,6 +8,7 @@ radians everywhere inside the library).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,15 @@ def _check_angles(theta, phi):
     if not np.all(np.isfinite(phi)):
         raise DomainError("phi must be finite")
     return theta, phi
+
+
+def _check_integer(value, name):
+    """``value`` as an int; integral floats pass, anything else is "<name> must be an integer"."""
+    if not isinstance(value, numbers.Integral) and not (
+        isinstance(value, float) and value.is_integer()
+    ):
+        raise DomainError(f"{name} must be an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -179,13 +179,15 @@ def estimate_coupling(isolated_coeffs: np.ndarray, active_coeffs: np.ndarray) ->
 
     Solves Qs C = Qc column by column, where column m of Qs expands the
     isolated field of element m and column n of Qc the active field of
-    port n. Requires Qs to have full column rank; the result is NOT
-    symmetrized.
+    port n. Requires finite coefficients and Qs of full column rank; the
+    result is NOT symmetrized.
     """
     qs = np.asarray(isolated_coeffs, dtype=complex)
     qc = np.asarray(active_coeffs, dtype=complex)
     if qs.ndim != 2 or qc.ndim != 2 or qs.shape != qc.shape:
         raise DimensionError("coefficient sets must be matrices of equal shape")
+    if not (np.all(np.isfinite(qs)) and np.all(np.isfinite(qc))):
+        raise DomainError("coefficients must be finite")
     m_elems = qs.shape[1]
     if qs.shape[0] < m_elems:
         raise DimensionError("fewer modes than elements; expansion order too low")

@@ -21,13 +21,19 @@ would do (the truncation override applies there).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fileio
-from .arraymodel import ANALYTIC_KINDS, ArrayGeometry, ElementPattern, _steering, steering_vector
+from .arraymodel import (
+    ANALYTIC_KINDS,
+    ArrayGeometry,
+    ElementPattern,
+    _check_integer,
+    _steering,
+    steering_vector,
+)
 from .beamform import _compensated, _optimum, _solve_steering, coupled_directivity, gain
 from .coupling import CouplingMatrix, estimate_fixture_coupling
 from .errors import NUMERICAL_FAILURES, DataError, DomainError
@@ -65,12 +71,7 @@ class SweepSpec:
 
     def __post_init__(self):
         for name in ("spacing_steps", "quadrature_theta", "quadrature_phi", "truncation"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) and not (
-                isinstance(value, float) and value.is_integer()
-            ):
-                raise DomainError(f"{name} must be an integer")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _check_integer(getattr(self, name), name))
         if self.antennas < 1:
             raise DomainError("antennas must be >= 1")
         if self.pattern_kind not in ANALYTIC_KINDS:

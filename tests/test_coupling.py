@@ -285,6 +285,18 @@ def test_degenerate_isolated_fields_are_rejected_with_rank():
     assert info.value.effective_rank == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("which", ["isolated", "active"])
+def test_non_finite_coefficients_are_rejected_before_the_solve(bad, which, capfd):
+    rng = np.random.default_rng(31)
+    qs = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+    qc = qs @ _random_invertible(rng, 2).values
+    (qs if which == "isolated" else qc)[3, 1] = bad
+    with pytest.raises(DomainError, match="coefficients must be finite"):
+        estimate_coupling(qs, qc)
+    assert capfd.readouterr().err == ""  # LAPACK printed no parameter complaint
+
+
 def test_fixture_estimation_pipeline_recovers_the_fixture():
     geometry = ArrayGeometry(3, 0.1)
     estimate = estimate_fixture_coupling(geometry, HERTZIAN, gamma=0.3, beta=1.2)

@@ -81,6 +81,36 @@ def test_flattened_order_matches_its_closed_form(truncation):
         assert columns.tolist() == [_flat_position(s, m, n) for n in degrees for s in (1, 2)]
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.7, np.float64(1.5), np.nan, np.inf, "2"])
+def test_non_integral_truncation_orders_are_rejected(bad):
+    grid = default_fit_grid(2)
+    samples = FieldSampleSet(grid, np.zeros(2 * grid.shape[0], dtype=complex))
+    for taker in (
+        mode_count,
+        index_list,
+        default_fit_grid,
+        lambda n: basis_matrix(grid, n),
+        lambda n: fit_wave_coefficients(samples, n),
+        lambda n: WaveCoefficientSet(np.zeros(16), n, 0.0),
+    ):
+        with pytest.raises(DomainError, match="truncation order must be an integer"):
+            taker(bad)
+
+
+def test_integral_float_truncation_orders_act_as_integers():
+    grid = default_fit_grid(2)
+    samples = FieldSampleSet(grid, basis_matrix(grid, 2)[:, 5])
+    for whole in (2.0, np.float64(2.0), np.int64(2)):
+        assert mode_count(whole) == 16
+        assert index_list(whole) == index_list(2)
+        assert np.array_equal(default_fit_grid(whole), grid)
+        assert np.array_equal(basis_matrix(grid, whole), basis_matrix(grid, 2))
+        fitted = fit_wave_coefficients(samples, whole)
+        stored = WaveCoefficientSet(np.zeros(16), whole, 0.0)
+        for truncation in (fitted.truncation, stored.truncation):
+            assert type(truncation) is int and truncation == 2
+
+
 def test_index_validation():
     with pytest.raises(DomainError):
         SweIndex(s=3, m=0, n=1)
@@ -523,17 +553,79 @@ def test_modes_come_in_exact_conjugate_pairs(truncation):
         assert np.array_equal(np.conj(basis[:, k]), (-1.0) ** (i.s + i.m + i.n) * partner)
 
 
+def _forbid_lstsq(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense fit reached lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+
+
+def _real_basis_condition(directions, truncation):
+    singular = np.linalg.svd(swe._real_basis_matrix(directions, truncation), compute_uv=False)
+    return singular[0] / singular[-1]
+
+
 @pytest.mark.parametrize("truncation", [1, 4, 9])
-def test_dense_fit_matches_the_complex_least_squares(truncation):
+def test_dense_fit_matches_the_complex_least_squares(truncation, monkeypatch):
     rng = np.random.default_rng(80 + truncation)
     directions = _random_directions(rng, 3 * mode_count(truncation))
     values = _noisy_fields(rng, directions, truncation, count=4)
     values[:, 1] = values[:, 1].real  # a purely real field
     values[:, 2] = 1j * values[:, 2].imag  # and a purely imaginary one
-    coefficients, residuals = solve_wave_coefficients(directions, values, truncation)
+    with monkeypatch.context() as patch:  # a well-sampled grid is solved through its Gram matrix
+        _forbid_lstsq(patch)
+        coefficients, residuals = solve_wave_coefficients(directions, values, truncation)
     reference, reference_res, _ = _complex_reference(directions, values, truncation)
     assert np.max(np.abs(coefficients - reference)) <= 1e-12 * np.max(np.abs(reference))
     np.testing.assert_allclose(residuals, reference_res, rtol=1e-12, atol=0.0)
+
+
+def _cap_directions(rng, count, cap):
+    """Uniform random directions within ``cap`` radians of the +z axis."""
+    theta = np.arccos(rng.uniform(np.cos(cap), 1.0, count))
+    return np.column_stack((theta, rng.uniform(0.0, 2.0 * np.pi, count)))
+
+
+def test_gram_solve_needs_its_refinement_step_near_the_certified_limit(monkeypatch):
+    # cond 2.5e3..4e3: the plain normal equations miss the reference by ~1e-9
+    truncation = 2
+    rng = np.random.default_rng(94)
+    directions = _cap_directions(rng, 3 * mode_count(truncation), 0.5)
+    assert 1e3 <= _real_basis_condition(directions, truncation) < 1e4
+    values = _noisy_fields(rng, directions, truncation, count=4)
+    reference, reference_res, _ = _complex_reference(directions, values, truncation)
+    _forbid_lstsq(monkeypatch)
+    coefficients, residuals = solve_wave_coefficients(directions, values, truncation)
+    assert np.max(np.abs(coefficients - reference)) <= 1e-12 * np.max(np.abs(reference))
+    np.testing.assert_allclose(residuals, reference_res, rtol=1e-12, atol=0.0)
+
+
+def test_full_rank_grid_beyond_the_certified_limit_falls_back_to_lstsq_bit_for_bit(monkeypatch):
+    truncation = 4
+    rng = np.random.default_rng(95)
+    directions = _cap_directions(rng, 3 * mode_count(truncation), 0.7)
+    assert 1e4 < _real_basis_condition(directions, truncation) < 1e8
+    values = _noisy_fields(rng, directions, truncation, count=3)
+    # the SVD solve as it stood before the Gram route, on the same real basis
+    basis = swe._real_basis_matrix(directions, truncation)
+    parts = np.concatenate((values.real, values.imag), axis=1)
+    rcond = max(basis.shape) * np.finfo(float).eps
+    solution, squares, rank, _ = np.linalg.lstsq(basis, parts, rcond=rcond)
+    assert rank == mode_count(truncation)
+    reference = swe._complex_coefficients(solution[:, :3] + 1j * solution[:, 3:], truncation)
+    reference_res = np.sqrt(squares[:3] + squares[3:]) / np.linalg.norm(values, axis=0)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    coefficients, residuals = solve_wave_coefficients(directions, values, truncation)
+    assert len(calls) == 1
+    assert coefficients.tobytes() == reference.tobytes()
+    assert residuals.tobytes() == reference_res.tobytes()
 
 
 def test_rank_deficient_random_directions_report_the_complex_rank():
