@@ -476,7 +476,8 @@ def _fit_by_order(theta_rows, columns, values, truncation, rcond):
 # cond(basis) < 1e4. The rank cutoff (about 1e-12 sigma_max) cannot bite
 # there, and normal equations with one refinement step are as accurate as an
 # SVD solve (Bjorck, Numerical Methods for Least Squares Problems, 1996,
-# sec. 2.9). Random direction sets measured 3.3 to 257.
+# sec. 2.9). Random directions with 2P >= 1.5 modes measured cond 2.1 to 135
+# (N = 4..19); square random systems reach 3e2 to 5e5 and may fall back.
 _GRAM_EIGENVALUE_FLOOR = 1e-8
 
 
