@@ -14,7 +14,8 @@ files, ``coupling synth`` files, ``coupling estimate`` CSVs on that testbed,
 ``swe fit`` CSVs, ``swe fit`` and ``coupling estimate`` on seeded noisy fields
 at random directions (the dense fit: well-sampled, clustered in one cap, and
 rank-deficient) and the ``--help`` of every command; and, through both, the
-error of each bad angle and non-finite scalar. Uses only the public API and
+error of each bad angle and non-finite scalar, and of each bad count or
+index (``count_errors``). Uses only the public API and
 the CLI; every CLI group also records exit codes and stderr, with the
 scratch directory's path replaced by ``<work>``.
 """
@@ -437,6 +438,37 @@ def input_errors(workdir):
     return f"{len(parts)} parts", _digest(parts)
 
 
+def count_errors(workdir):
+    geometry = superdir.ArrayGeometry(4, 0.2)
+    isotropic = superdir.ElementPattern.from_kind("isotropic")
+    fixture = superdir.coupling_fixture(4, 0.3, 1.0)
+    sites = [
+        lambda v: superdir.ArrayGeometry(v, 0.2),
+        superdir.CouplingMatrix.identity,
+        lambda v: superdir.coupling_fixture(v, 0.3, 1.0),
+        lambda v: superdir.SphereQuadrature(theta=[np.pi / 2], theta_weights=[2.0], phi_count=v),
+        lambda v: superdir.SphereQuadrature.gauss_legendre(v, 8),
+        lambda v: superdir.SphereQuadrature.gauss_legendre(4, v),
+        superdir.mode_count,
+        lambda v: superdir.SweIndex(1, 0, v),
+        lambda v: superdir.SweIndex(1, v, 4),
+        lambda v: superdir.active_element_pattern(geometry, isotropic, fixture, v, 0.5, 0.3),
+    ]
+    sites += [lambda v, name=name: superdir.SweepSpec(**{"antennas": 2, name: v})
+              for name in ("antennas", "spacing_steps", "quadrature_theta", "quadrature_phi",
+                           "truncation")]
+    parts = [_outcome(lambda: site(bad)) for site in sites
+             for bad in (2.5, np.nan, np.inf, -np.inf, "3", -5, -1, 0, 4.0, 5)]
+    field = os.path.join(workdir, "count_field.csv")
+    superdir.write_field_samples(field, superdir.reconstruct_field(
+        superdir.WaveCoefficientSet(np.ones(6, dtype=complex), 1, 0.0), superdir.default_fit_grid(1)))
+    for command in (["swe", "fit", "--input", field],
+                    ["coupling", "estimate", "--isolated", field, "--active", field]):
+        for truncation in ("0", "-1"):
+            parts.append(_run_cli([*command, "--truncation", truncation], workdir))
+    return f"{len(parts)} parts", _digest(parts)
+
+
 def help_texts(workdir):
     commands = ([], ["impedance"], ["beamform"], ["sweep"], ["swe"], ["swe", "fit"], ["coupling"],
                 ["coupling", "estimate"], ["coupling", "synth"])
@@ -450,7 +482,7 @@ def main() -> int:
         for group in (sweeps, beamform_stdout, sweep_help, gain_optimal, radiation_directivity,
                       errors, ill_conditioning_warnings, impedance_csv, beamform_files,
                       sweep_files, coupling_synth, coupling_estimate, swe_fit, dense_fit,
-                      help_texts, input_errors):
+                      help_texts, input_errors, count_errors):
             what, digest = group(workdir)
             print(f"{group.__name__:26s} {digest}  ({what})")
     return 0

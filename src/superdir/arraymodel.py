@@ -42,12 +42,17 @@ def _check_angles(theta, phi):
     return theta, phi
 
 
-def _check_integer(value, name):
-    """``value`` as an int; integral floats pass, anything else is "<name> must be an integer"."""
+def _check_integer(value, name, minimum):
+    """``value`` as an int >= ``minimum``: the one check of every count and index.
+
+    Integral reals such as 4.0 pass; NaN, infinities, 2.5 and strings do not.
+    """
     if not isinstance(value, numbers.Integral) and not (
-        isinstance(value, float) and value.is_integer()
+        isinstance(value, numbers.Real) and float(value).is_integer()
     ):
         raise DomainError(f"{name} must be an integer")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}")
     return int(value)
 
 
@@ -63,13 +68,11 @@ class ArrayGeometry:
     spacing: float
 
     def __post_init__(self):
-        if int(self.element_count) != self.element_count or self.element_count < 1:
-            raise DomainError("element_count must be an integer >= 1")
+        object.__setattr__(self, "element_count", _check_integer(self.element_count, "element_count", 1))
         if not self.spacing > 0.0:
             raise DomainError("spacing must be positive")
         if not np.isfinite(self.spacing):
             raise DomainError("spacing must be finite")
-        object.__setattr__(self, "element_count", int(self.element_count))
         object.__setattr__(self, "spacing", float(self.spacing))
 
     @property

@@ -223,8 +223,6 @@ def _cmd_sweep(args) -> int:
 def _resolve_truncation(args, element_count=None) -> int:
     """N from --truncation, else --radius, else (given an element count) the spacing."""
     if args.truncation is not None:
-        if args.truncation < 1:
-            raise UsageError("--truncation must be >= 1")
         return args.truncation
     if args.radius is not None:
         return truncation_degree(args.radius)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraymodel import WAVE_NUMBER, ArrayGeometry, ElementPattern, evaluate_array_pattern
+from .arraymodel import WAVE_NUMBER, ArrayGeometry, ElementPattern, _check_integer, evaluate_array_pattern
 from .errors import DegenerateGeometryError, DimensionError, DomainError
 from .swe import (
     FieldSampleSet,
@@ -64,9 +64,8 @@ class CouplingMatrix:
     @classmethod
     def identity(cls, element_count: int) -> "CouplingMatrix":
         """The uncoupled (ideal) matrix C = I."""
-        if element_count < 1:
-            raise DomainError("element_count must be >= 1")
-        return cls(values=np.eye(int(element_count), dtype=complex), source="identity")
+        count = _check_integer(element_count, "element_count", 1)
+        return cls(values=np.eye(count, dtype=complex), source="identity")
 
     @classmethod
     def prescribed(cls, values) -> "CouplingMatrix":
@@ -85,9 +84,7 @@ def coupling_fixture(element_count: int, gamma: float, beta: float) -> CouplingM
         raise DomainError("gamma must lie in (0, 1)")
     if not np.isfinite(beta):
         raise DomainError("beta must be finite")
-    if element_count < 1:
-        raise DomainError("element_count must be >= 1")
-    idx = np.arange(int(element_count))
+    idx = np.arange(_check_integer(element_count, "element_count", 1))
     sep = np.abs(idx[:, None] - idx[None, :])
     values = gamma**sep * np.exp(-1j * beta * sep)
     return CouplingMatrix(values=values, source="prescribed")
@@ -267,7 +264,8 @@ def active_element_pattern(
     """
     if coupling.size != geometry.element_count:
         raise DimensionError("coupling matrix size does not match the array")
-    if not 1 <= element <= geometry.element_count:
+    element = _check_integer(element, "element index", 1)
+    if element > geometry.element_count:
         raise DomainError(
             f"element index {element} out of range 1..{geometry.element_count}"
         )

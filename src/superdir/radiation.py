@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arraymodel import WAVE_NUMBER, ArrayGeometry, ElementPattern, steering_vector
+from .arraymodel import WAVE_NUMBER, ArrayGeometry, ElementPattern, _check_integer, steering_vector
 from .errors import (
     AccuracyError,
     ConditioningError,
@@ -57,11 +57,9 @@ class SphereQuadrature:
             raise DimensionError("theta and theta_weights must have equal nonzero length")
         if np.any(w <= 0.0):
             raise DomainError("quadrature weights must be positive")
-        if self.phi_count < 1:
-            raise DomainError("phi_count must be >= 1")
+        object.__setattr__(self, "phi_count", _check_integer(self.phi_count, "phi_count", 1))
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "theta_weights", w)
-        object.__setattr__(self, "phi_count", int(self.phi_count))
         # exactness on constants: (1/4pi) * sum of weights == 1
         if abs(w.sum() / 2.0 - 1.0) > 1e-14:
             raise AccuracyError("quadrature does not integrate a constant to 1")
@@ -71,9 +69,7 @@ class SphereQuadrature:
         cls, theta_count: int = DEFAULT_NODES[0], phi_count: int = DEFAULT_NODES[1]
     ) -> "SphereQuadrature":
         """Standard quadrature with ``theta_count`` polar nodes."""
-        if theta_count < 1:
-            raise DomainError("theta_count must be >= 1")
-        x, w = np.polynomial.legendre.leggauss(int(theta_count))
+        x, w = np.polynomial.legendre.leggauss(_check_integer(theta_count, "theta_count", 1))
         theta = np.arccos(x[::-1])
         return cls(theta=theta, theta_weights=w[::-1], phi_count=phi_count)
 
@@ -131,6 +127,11 @@ class ImpedanceMatrix:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise DimensionError("impedance matrix must be square")
+        if not np.isfinite(vals).all():
+            raise DomainError("impedance matrix values must be finite")
+        # exact: _impedance_stack symmetrizes what it builds, and a Cholesky factor reads one triangle
+        if (vals != vals.T).any():
+            raise DomainError("impedance matrix must be symmetric")
         object.__setattr__(self, "values", vals)
 
     @property

@@ -71,9 +71,7 @@ def mode_count(truncation: int) -> int:
     This is the one check of a truncation order: an integer (integral floats
     pass) of at least 1.
     """
-    n = _check_integer(truncation, "truncation order")
-    if n < 1:
-        raise DomainError("truncation order must be >= 1")
+    n = _check_integer(truncation, "truncation order", 1)
     return 2 * n * (n + 2)
 
 
@@ -88,10 +86,12 @@ class SweIndex:
     def __post_init__(self):
         if self.s not in (1, 2):
             raise DomainError("s must be 1 (TE) or 2 (TM)")
-        if self.n < 1:
-            raise DomainError("degree n must be >= 1")
-        if abs(self.m) > self.n:
+        n = _check_integer(self.n, "degree n", 1)
+        m = _check_integer(self.m, "order m", -n)
+        if m > n:
             raise DomainError("order m must satisfy |m| <= n")
+        for name, value in (("s", int(self.s)), ("m", m), ("n", n)):
+            object.__setattr__(self, name, value)
 
 
 @functools.lru_cache(maxsize=16)
@@ -107,7 +107,7 @@ def _mode_table(truncation):
 
 def index_list(truncation: int) -> list:
     """All modes up to order N in flattened order (s fastest, then m, then n)."""
-    return [SweIndex(s=int(s), m=int(m), n=int(n)) for s, m, n in _mode_table(truncation)]
+    return [SweIndex(*row) for row in _mode_table(truncation).tolist()]
 
 
 @dataclass(frozen=True, eq=False)

@@ -70,10 +70,9 @@ class SweepSpec:
     truncation: int = 0
 
     def __post_init__(self):
-        for name in ("spacing_steps", "quadrature_theta", "quadrature_phi", "truncation"):
-            object.__setattr__(self, name, _check_integer(getattr(self, name), name))
-        if self.antennas < 1:
-            raise DomainError("antennas must be >= 1")
+        for name, minimum in (("antennas", 1), ("spacing_steps", 1), ("quadrature_theta", 1),
+                              ("quadrature_phi", 1), ("truncation", 0)):
+            object.__setattr__(self, name, _check_integer(getattr(self, name), name, minimum))
         if self.pattern_kind not in ANALYTIC_KINDS:
             raise DomainError(
                 f"sweep pattern must be one of the analytic kinds, not {self.pattern_kind!r}"
@@ -86,16 +85,12 @@ class SweepSpec:
             raise DomainError("spacing_stop must be >= spacing_start")
         if self.spacing_steps > 1 and not np.isfinite(self.spacing_stop):
             raise DomainError("spacing_stop must be finite")
-        if self.spacing_steps < 1:
-            raise DomainError("spacing_steps must be >= 1")
         if not 0.0 <= self.theta0_deg <= 180.0:
             raise DomainError("theta0_deg must lie in [0, 180]")
+        if not np.isfinite(self.phi0_deg):
+            raise DomainError("phi0_deg must be finite")
         if not 0.0 < self.efficiency <= 1.0:
             raise DomainError("efficiency must lie in (0, 1]")
-        if self.quadrature_theta < 1 or self.quadrature_phi < 1:
-            raise DomainError("quadrature node counts must be >= 1")
-        if self.truncation < 0:
-            raise DomainError("truncation override must be >= 0 (0 = automatic)")
 
     @property
     def spacings(self) -> np.ndarray:

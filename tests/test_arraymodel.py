@@ -1,4 +1,4 @@
-"""Geometry, element patterns, steering vectors, and the array pattern sum."""
+"""Geometry, count and index checks, element patterns, steering vectors, and the array pattern sum."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,15 @@ from superdir import (
     DimensionError,
     DomainError,
     ElementPattern,
+    SphereQuadrature,
+    SweepSpec,
     SweIndex,
     active_element_pattern,
     basis_matrix,
+    coupling_fixture,
     eval_spherical_wave_function,
     evaluate_array_pattern,
+    mode_count,
     steering_vector,
 )
 from superdir import arraymodel
@@ -47,6 +51,69 @@ def test_geometry_length_and_validation():
         ArrayGeometry(2, 0.0)
     with pytest.raises(DomainError):
         ArrayGeometry(2, -0.5)
+
+
+# ---- counts and indices -----------------------------------------------------
+
+
+def _sweep_field(name):
+    return lambda v: getattr(SweepSpec(**{"antennas": 2, name: v}), name)
+
+
+_FOUR_ELEMENTS = ArrayGeometry(4, 0.2)
+# every count or index a public call takes, as (name in its message, minimum, call(value));
+# each call returns what the input became, so 4.0 can be compared with 4
+COUNT_SITES = {
+    "ArrayGeometry": ("element_count", 1, lambda v: ArrayGeometry(v, 0.2).element_count),
+    "CouplingMatrix.identity": ("element_count", 1, lambda v: CouplingMatrix.identity(v).size),
+    "coupling_fixture": ("element_count", 1, lambda v: coupling_fixture(v, 0.3, 1.0).size),
+    "SphereQuadrature": ("phi_count", 1, lambda v: SphereQuadrature(
+        theta=[np.pi / 2], theta_weights=[2.0], phi_count=v).phi_count),
+    "SphereQuadrature.gauss_legendre theta": (
+        "theta_count", 1, lambda v: SphereQuadrature.gauss_legendre(v, 8).theta.size),
+    "SphereQuadrature.gauss_legendre phi": (
+        "phi_count", 1, lambda v: SphereQuadrature.gauss_legendre(4, v).phi_count),
+    **{f"SweepSpec.{name}": (name, minimum, _sweep_field(name)) for name, minimum in (
+        ("antennas", 1), ("spacing_steps", 1), ("quadrature_theta", 1), ("quadrature_phi", 1),
+        ("truncation", 0))},
+    "mode_count": ("truncation order", 1, mode_count),
+    "SweIndex.n": ("degree n", 1, lambda v: SweIndex(1, 0, v).n),
+    "SweIndex.m": ("order m", -4, lambda v: SweIndex(1, v, 4).m),
+    "active_element_pattern": ("element index", 1, lambda v: active_element_pattern(
+        _FOUR_ELEMENTS, ElementPattern.isotropic(), coupling_fixture(4, 0.3, 1.0), v, 0.5, 0.3)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, np.nan, np.inf, "3", "below"])
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_every_count_and_index_is_checked_by_name(site, bad):
+    name, minimum, call = COUNT_SITES[site]
+    if bad == "below":
+        bad, message = minimum - 1, f"{name} must be >= {minimum}"
+    else:
+        message = f"{name} must be an integer"
+    with pytest.raises(DomainError) as info:
+        call(bad)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("integral", [4.0, np.float32(4.0), np.int64(4)], ids=repr)
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_an_integral_value_is_taken_as_its_int(site, integral):
+    call = COUNT_SITES[site][2]
+    taken, expected = call(integral), call(4)
+    assert taken == expected and type(taken) is type(expected)
+
+
+def test_a_mode_index_is_stored_as_ints():
+    index = SweIndex(2.0, -3.0, 4.0)
+    assert (index.s, index.m, index.n) == (2, -3, 4)
+    assert all(type(value) is int for value in (index.s, index.m, index.n))
+
+
+def test_an_element_index_past_the_array_is_out_of_range():
+    with pytest.raises(DomainError, match=r"^element index 5 out of range 1\.\.4$"):
+        COUNT_SITES["active_element_pattern"][2](5)
 
 
 # ---- element patterns -------------------------------------------------------

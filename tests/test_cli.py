@@ -110,6 +110,23 @@ def test_fit_without_truncation_or_radius_exits_one(tmp_path, capsys):
     assert "--truncation or --radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["swe", "fit", "--input", "f.csv"],
+    ["coupling", "estimate", "--isolated", "f.csv", "--active", "f.csv"],
+])
+def test_a_zero_truncation_exits_one_with_the_library_message(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_field_samples(
+        "f.csv",
+        reconstruct_field(
+            WaveCoefficientSet(np.ones(6, dtype=complex), truncation=1, residual=0.0),
+            default_fit_grid(1),
+        ),
+    )
+    assert main([*command, "--truncation", "0"]) == 1
+    assert capsys.readouterr() == ("", "superdir: error: truncation order must be >= 1\n")
+
+
 def test_estimate_with_mismatched_file_counts_exits_one(tmp_path, capsys):
     field = tmp_path / "f.csv"
     write_field_samples(
@@ -611,6 +628,9 @@ def test_non_finite_lengths_exit_one(flags, message, tmp_path, capsys, monkeypat
     (["sweep", "--antennas", "2", "--spacing", "0.1:nan:2"], "spacing_stop must be finite"),
     (["sweep", "--antennas", "2", "--spacing", "inf"], "spacing must be finite"),
     (["sweep", "--config", "nan_stop.cfg"], "spacing_stop must be finite"),
+    (["sweep", "--antennas", "2", "--spacing", "0.1:0.2:2", "--phi0", "nan"],
+     "phi0_deg must be finite"),
+    (["sweep", "--config", "nan_phi0.cfg"], "phi0_deg must be finite"),
     (["sweep", "--antennas", "2", "--spacing", "0.1:0.2:2", "--coupling",
       "synthetic:gamma=0.3,beta=inf"], "beta must be finite"),
     (["beamform", "--antennas", "2", "--spacing", "0.1", "--coupling",
@@ -621,6 +641,7 @@ def test_non_finite_lengths_exit_one(flags, message, tmp_path, capsys, monkeypat
 def test_non_finite_scalars_exit_one_naming_the_value(flags, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "nan_stop.cfg").write_text("antennas = 2\nspacing_stop = nan\n")
+    (tmp_path / "nan_phi0.cfg").write_text("antennas = 2\nphi0_deg = nan\n")
     assert main(flags) == 1
     assert capsys.readouterr() == ("", f"superdir: error: {message}\n")
     assert not (tmp_path / "testbed").exists()

@@ -2,8 +2,9 @@
 
 Synthetic active fields are the element field times the array factor of a
 coupling column, and the library estimate recovers that coupling. A field
-built from known mode coefficients fits back to them on both fit paths. A
-sample set rejects a repeated direction and accepts directions 1 ulp apart.
+built from known mode coefficients fits back to them on both fit paths, and
+the same field sampled at phi + phi0 fits to q_m exp(j m phi0). A sample set
+rejects a repeated direction and accepts directions 1 ulp apart.
 """
 
 import numpy as np
@@ -19,13 +20,16 @@ from superdir import (  # noqa: E402
     ElementFieldLibrary,
     ElementPattern,
     FieldSampleSet,
+    WaveCoefficientSet,
     basis_matrix,
     build_coefficient_set,
     default_fit_grid,
     default_truncation,
     evaluate_array_pattern,
+    fit_wave_coefficients,
     isolated_fields_synthetic,
     mode_count,
+    reconstruct_field,
     synthesize_coupled_fields,
 )
 from superdir import swe  # noqa: E402
@@ -112,6 +116,33 @@ def test_band_limited_field_fits_back_to_its_coefficients_on_both_paths(case):
         coefficients, residuals = swe.solve_wave_coefficients(directions, samples, truncation)
         assert np.linalg.norm(coefficients[:, 0] - q) <= tolerance
         assert residuals[0] <= tolerance
+
+
+@st.composite
+def rotated_fields(draw):
+    """(N, q, phi0, random directions): order 1-4, a rotation and 300 directions on the sphere."""
+    truncation = draw(st.integers(1, 4))
+    modes = mode_count(truncation)
+    q = np.array(draw(st.lists(st.builds(complex, UNIT, UNIT), min_size=modes, max_size=modes)))
+    phi0 = draw(st.floats(min_value=-2.0 * np.pi, max_value=2.0 * np.pi))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scattered = np.column_stack((np.arccos(rng.uniform(-1.0, 1.0, 300)), rng.uniform(0.0, 2.0 * np.pi, 300)))
+    return truncation, q, phi0, scattered
+
+
+@BOUNDED
+@given(rotated_fields())
+def test_a_field_sampled_at_phi_plus_phi0_fits_to_its_coefficients_times_exp_j_m_phi0(case):
+    truncation, q, phi0, scattered = case
+    field = WaveCoefficientSet(q, truncation, 0.0)
+    # every mode varies as exp(j m phi), so E(theta, phi + phi0) expands in q_m exp(j m phi0)
+    expected = q * np.exp(1j * phi0 * swe._mode_table(truncation)[:, 1])
+    tolerance = 1e3 * EPS * max(1.0, np.linalg.norm(q))
+    for directions, equiangular in ((default_fit_grid(truncation), True), (scattered, False)):
+        assert (swe._equiangular_rows(directions, truncation) is not None) == equiangular
+        rotated = reconstruct_field(field, directions + [0.0, phi0])
+        fit = fit_wave_coefficients(FieldSampleSet(directions, rotated.values), truncation)
+        assert np.linalg.norm(fit.coefficients - expected) <= tolerance
 
 
 @st.composite

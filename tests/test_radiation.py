@@ -14,6 +14,7 @@ from superdir import (
     DegenerateInputError,
     DomainError,
     ElementPattern,
+    ImpedanceMatrix,
     SphereQuadrature,
     default_quadrature,
     directivity,
@@ -84,6 +85,18 @@ def test_cached_inputs_hold_private_read_only_arrays():
 
 
 # ---- impedance matrix -------------------------------------------------------
+
+
+@pytest.mark.parametrize("values, message", [
+    ([[1.0, np.nan], [np.nan, 1.0]], "impedance matrix values must be finite"),
+    ([[1.0, 0.0], [0.0, np.inf]], "impedance matrix values must be finite"),
+    # a Cholesky factor reads one triangle, so [[1, 0.2], [0.3, 1]] would pass as its lower half
+    ([[1.0, 0.2], [0.3, 1.0]], "impedance matrix must be symmetric"),
+])
+def test_impedance_matrix_rejects_non_finite_and_asymmetric_values(values, message):
+    with pytest.raises(DomainError) as info:
+        ImpedanceMatrix(values=values, condition_number=1.0)
+    assert str(info.value) == message
 
 
 def test_isotropic_diagonal_is_unity():

@@ -53,6 +53,8 @@ def _small_sweep(**overrides):
         {"spacing_start": 0.3, "spacing_stop": 0.2},
         {"spacing_steps": 0},
         {"theta0_deg": 181.0},
+        {"phi0_deg": np.inf},
+        {"phi0_deg": np.nan},
         {"efficiency": 0.0},
         {"efficiency": 1.2},
         {"quadrature_theta": 0},
