@@ -54,11 +54,48 @@ def _check_sizes(impedance: ImpedanceMatrix, steering: SteeringVector, coupling:
         raise DimensionError("coupling matrix size does not match the impedance matrix")
 
 
-def _solve_steering(impedance: ImpedanceMatrix, steering: SteeringVector, r_loss: float = 0.0) -> tuple:
+def _substitute(factors: np.ndarray, rhs: np.ndarray) -> tuple:
+    """Solve R^T y = rhs, then R x = y, for a stack of upper-triangular factors.
+
+    ``factors`` is a real (S, M, M) stack and ``rhs`` a complex (S, M) one.
+    Each substitution step finishes one row of all S systems and updates the
+    rows after it (before it, going back), in real arithmetic on the real
+    and imaginary parts. Every system thus gets the same operations in the
+    same order whatever S is, so its results are bit for bit those of its
+    S = 1 solve. Returns x (S, M), y (S, M), D = ||y||^2 (S,), and the
+    1-based index of the first zero diagonal entry of each R (0 where there
+    is none); the solve of such a system is non-finite, raises no NumPy
+    warning and leaves the other systems unchanged.
+    """
+    count, size = rhs.shape
+    diagonal = np.diagonal(factors, axis1=1, axis2=2)
+    zero = diagonal == 0.0
+    pivots = np.where(zero.any(axis=1), zero.argmax(axis=1) + 1, 0)
+    y = np.array(rhs, dtype=complex).view(float).reshape(count, size, 2)  # real, imaginary
+    dmax = np.zeros(count)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(size):  # forward: row k of R^T is column k of R
+            y[:, k] /= diagonal[:, k, None]
+            dmax += (y[:, k] * y[:, k]).sum(axis=1)
+            y[:, k + 1:] -= factors[:, k, k + 1:, None] * y[:, k, None, :]
+        x = y.copy()
+        for k in reversed(range(size)):  # back
+            x[:, k] /= diagonal[:, k, None]
+            x[:, :k] -= factors[:, :k, k, None] * x[:, k, None, :]
+    return x.view(complex)[..., 0], y.view(complex)[..., 0], dmax, pivots
+
+
+def _solve_steering(
+    impedance: ImpedanceMatrix, steering: SteeringVector, r_loss: float = 0.0, solved=None
+) -> tuple:
     """x = (Z + r_loss I)^-1 e* and D = e^H x, the unnormalized optimum and its directivity.
 
     Solves through the triangular factor R^T R = Z + r_loss I, so y = R^-T e*
     loses digits like sqrt(cond(Z)) rather than cond(Z), and D = ||y||^2.
+    ``solved`` is this system's (x, y, D, pivot) when a stacked _substitute
+    call has already solved it, as run_sweep does for each block of spacings;
+    otherwise it is solved here as a stack of one. Either way the checks
+    run in the same order, so the same point raises and warns the same.
     """
     e = steering.values
     if not np.any(e):
@@ -79,18 +116,18 @@ def _solve_steering(impedance: ImpedanceMatrix, steering: SteeringVector, r_loss
             RuntimeWarning,
             stacklevel=3,  # public entry point -> here; report its caller
         )
-    import scipy.linalg  # here, not at the top: it is most of the package's import time
-
-    r = impedance.square_root()
-    if r_loss:
-        r = np.linalg.qr(np.vstack((r, np.sqrt(r_loss) * identity)), mode="r")
-    y, pivot = scipy.linalg.lapack.ztrtrs(r, e.conj(), trans=1)
+    if solved is None:
+        r = impedance.square_root()
+        if r_loss:
+            r = np.linalg.qr(np.vstack((r, np.sqrt(r_loss) * identity)), mode="r")
+        solved = [column[0] for column in _substitute(r[None], e.conj()[None])]
+    x, _, dmax, pivot = solved
     if pivot:  # R[pivot - 1, pivot - 1] == 0, e.g. fewer quadrature nodes than elements
         raise SingularMatrixError(
             f"impedance matrix is singular: zero pivot {pivot} (condition estimate {cond:.3e})",
             condition_number=cond,
         )
-    return scipy.linalg.lapack.ztrtrs(r, y)[0], float(np.vdot(y, y).real)
+    return x, float(dmax)
 
 
 def _port_excitation(impedance: ImpedanceMatrix, excitation) -> np.ndarray:

@@ -123,6 +123,8 @@ def _cmd_impedance(args) -> int:
 def _cmd_beamform(args) -> int:
     geometry = ArrayGeometry(args.antennas, _resolve_spacing(args))
     pattern = ElementPattern.from_kind(args.pattern)
+    if not math.isfinite(args.phi0):  # the message sweep gives for its --phi0
+        raise DomainError("phi0_deg must be finite")
     coupling = parse_coupling_source(
         args.coupling,
         geometry.element_count,

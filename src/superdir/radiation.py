@@ -170,11 +170,12 @@ def _impedance_stack(spacings, element_count, pattern, quadrature, loading=0.0):
     One phase table P (S, T, M) and one batched matmul give every Z, since
     the spacings share the ring weights g. Returns one ImpedanceMatrix per
     spacing, with ``loading`` I added and its condition number and factor
-    each from one stacked call; the unloaded Z stack (S, M, M); and the
-    largest imaginary residue of each Z (S,), which the caller passes to
-    _check_residue before using that matrix. The factor is the QR ``r`` of
-    [B; sqrt(loading) I] with B = sqrt(g/4pi) [Re P; Im P], whose Gram
-    matrix B^T B is Z since Re(P^T g P*) = Re^T g Re + Im^T g Im.
+    each from one stacked call; the unloaded Z stack (S, M, M); the stack
+    of those factors (S, M, M); and the largest imaginary residue of each Z
+    (S,), which the caller passes to _check_residue before using that
+    matrix. The factor is the QR ``r`` of [B; sqrt(loading) I] with
+    B = sqrt(g/4pi) [Re P; Im P], whose Gram matrix B^T B is Z since
+    Re(P^T g P*) = Re^T g Re + Im^T g Im.
     """
     g = _ring_weights(pattern, quadrature)
     nodes = quadrature.theta.size
@@ -192,12 +193,13 @@ def _impedance_stack(spacings, element_count, pattern, quadrature, loading=0.0):
     rows[:, :nodes] = phases.real
     rows[:, nodes:2 * nodes] = phases.imag
     rows[:, 2 * nodes:] = np.sqrt(loading) * identity
+    factors = np.linalg.qr(rows, mode="r")
     matrices = []
-    for value, cond, factor in zip(loaded, conds, np.linalg.qr(rows, mode="r")):
+    for value, cond, factor in zip(loaded, conds, factors):
         impedance = ImpedanceMatrix(values=value, condition_number=float(cond))
         object.__setattr__(impedance, "factor", factor)
         matrices.append(impedance)
-    return matrices, values, residues
+    return matrices, values, factors, residues
 
 
 def _check_residue(residue):
@@ -208,17 +210,19 @@ def _check_residue(residue):
 
 
 def _impedance_blocks(spacings, element_count, pattern, quadrature):
-    """(ImpedanceMatrix, imaginary residue) at each spacing in order, unloaded.
+    """(ImpedanceMatrix list, factor stack, imaginary residues) per block of spacings.
 
-    Builds one stack per block of spacings whose phase table fits in
-    _STACK_BYTES, so memory does not grow with the number of spacings.
+    Builds one unloaded stack per block of spacings whose phase table fits
+    in _STACK_BYTES, so memory does not grow with the number of spacings.
+    The blocks come in spacing order; the factor stack (S, M, M) holds the
+    factors of the block's matrices, for one stacked steering solve.
     """
     block = max(1, _STACK_BYTES // (16 * quadrature.theta.size * element_count))
     for start in range(0, len(spacings), block):
-        matrices, _, residues = _impedance_stack(
+        matrices, _, factors, residues = _impedance_stack(
             spacings[start:start + block], element_count, pattern, quadrature
         )
-        yield from zip(matrices, residues)
+        yield matrices, factors, residues
 
 
 def impedance_matrix(
@@ -257,10 +261,10 @@ def impedance_matrix(
     quadrature = quadrature or default_quadrature()
     spacing = np.array([geometry.spacing])
     count = geometry.element_count
-    matrices, values, residues = _impedance_stack(spacing, count, pattern, quadrature, loading)
+    matrices, values, _, residues = _impedance_stack(spacing, count, pattern, quadrature, loading)
     _check_residue(residues[0])
     if certified:
-        _, refined, refined_residues = _impedance_stack(
+        _, refined, _, refined_residues = _impedance_stack(
             spacing, count, pattern, quadrature.double_density()
         )
         _check_residue(refined_residues[0])

@@ -65,13 +65,18 @@ def truncation_degree(enclosing_radius: float) -> int:
     return int(np.ceil(WAVE_NUMBER * float(enclosing_radius))) + 10
 
 
-def mode_count(truncation: int) -> int:
-    """Number of spherical modes 2 N (N + 2) at truncation order N.
+def _truncation_order(truncation) -> int:
+    """The checked truncation order N as an int.
 
     This is the one check of a truncation order: an integer (integral floats
     pass) of at least 1.
     """
-    n = _check_integer(truncation, "truncation order", 1)
+    return _check_integer(truncation, "truncation order", 1)
+
+
+def mode_count(truncation: int) -> int:
+    """Number of spherical modes 2 N (N + 2) at truncation order N."""
+    n = _truncation_order(truncation)
     return 2 * n * (n + 2)
 
 
@@ -97,8 +102,7 @@ class SweIndex:
 @functools.lru_cache(maxsize=16)
 def _mode_table(truncation):
     """Read-only rows (s, m, n) in flattened order; every column index here is a row position."""
-    mode_count(truncation)
-    degrees = range(1, int(truncation) + 1)
+    degrees = range(1, _truncation_order(truncation) + 1)
     rows = [(s, m, n) for n in degrees for m in range(-n, n + 1) for s in (1, 2)]
     table = np.array(rows)
     table.flags.writeable = False
@@ -167,14 +171,15 @@ class WaveCoefficientSet:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=complex).reshape(-1)
-        if coeffs.size != mode_count(self.truncation):
+        truncation = _truncation_order(self.truncation)
+        if coeffs.size != mode_count(truncation):
             raise DimensionError(
                 f"{coeffs.size} coefficients for truncation {self.truncation}"
             )
         if not np.all(np.isfinite(coeffs)):
             raise DomainError("coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "truncation", int(self.truncation))
+        object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "residual", float(self.residual))
 
 
@@ -299,8 +304,8 @@ def basis_matrix(directions, truncation: int) -> np.ndarray:
     shape is (2P, 2N(N+2)).
     """
     dirs = _check_directions(directions)
-    modes = mode_count(truncation)
-    trunc = int(truncation)
+    trunc = _truncation_order(truncation)
+    modes = mode_count(trunc)
     out = np.empty((modes, 2 * dirs.shape[0]), dtype=complex)  # mode-major
     for _, columns, values in _phased_orders(dirs, trunc, range(-trunc, trunc + 1)):
         out[columns] = values
@@ -380,8 +385,7 @@ def default_fit_grid(truncation: int) -> np.ndarray:
     Theta rows sit at cell midpoints so the poles never appear; the grid
     oversamples the 2N(N+2) modes roughly eightfold.
     """
-    mode_count(truncation)
-    trunc = int(truncation)
+    trunc = _truncation_order(truncation)
     rows = 2 * trunc + 2
     cols = 4 * trunc + 4
     theta = (np.arange(rows) + 0.5) * np.pi / rows
@@ -530,8 +534,8 @@ def solve_wave_coefficients(directions, values, truncation: int):
     """
     dirs = _check_directions(directions)
     rhs = _check_values(values, dirs.shape[0])
-    modes = mode_count(truncation)
-    trunc = int(truncation)
+    trunc = _truncation_order(truncation)
+    modes = mode_count(trunc)
     n_rows = rhs.shape[0]
     if n_rows < modes:
         raise InsufficientSamplingError(
@@ -567,7 +571,7 @@ def fit_wave_coefficients(samples: FieldSampleSet, truncation: int) -> WaveCoeff
     """
     coeffs, residuals = solve_wave_coefficients(samples.directions, samples.values, truncation)
     return WaveCoefficientSet(
-        coefficients=coeffs[:, 0], truncation=int(truncation), residual=residuals[0]
+        coefficients=coeffs[:, 0], truncation=truncation, residual=residuals[0]
     )
 
 

@@ -7,9 +7,10 @@ pattern toward (theta0, phi0) is evaluated once, and the spherical-wave fits
 of a synthetic source reuse the cached per-order factors of each truncation
 order. The impedance matrices of all spacings are built as one stack (one
 phase table, one batched matmul, one stacked cond and QR), a block of
-spacings at a time so that memory does not grow with the number of steps.
-Each point then solves for the optimum once and derives the compensated
-excitation from the same solve.
+spacings at a time so that memory does not grow with the number of steps,
+and the steering systems of a block are solved together by one stacked
+substitution on its factors. Each point then checks its own solve and
+derives both the optimum and the compensated excitation from it.
 
 Coupling sources: ``identity`` and ``file:<path>`` supply the matrix
 directly; ``synthetic:gamma=<g>,beta=<b>`` synthesizes the parametric
@@ -34,7 +35,14 @@ from .arraymodel import (
     _steering,
     steering_vector,
 )
-from .beamform import _compensated, _optimum, _solve_steering, coupled_directivity, gain
+from .beamform import (
+    _compensated,
+    _optimum,
+    _solve_steering,
+    _substitute,
+    coupled_directivity,
+    gain,
+)
 from .coupling import CouplingMatrix, estimate_fixture_coupling
 from .errors import NUMERICAL_FAILURES, DataError, DomainError
 from .radiation import (
@@ -181,16 +189,18 @@ def evaluate_point(
     """
     impedance = impedance_matrix(geometry, pattern, quadrature, loading=loading)
     steering = steering_vector(geometry, pattern, theta0, phi0)
-    return _beamform_point(impedance, steering, coupling, efficiency, geometry.spacing)
+    return _beamform_point(impedance, steering, coupling, efficiency, None, geometry.spacing)
 
 
-def _beamform_point(impedance, steering, coupling, efficiency, spacing) -> tuple:
+def _beamform_point(impedance, steering, coupling, efficiency, solved, spacing) -> tuple:
     """The beamforming of one point from one steering solve: its row and excitation.
 
     The unnormalized x = Z^-1 e* gives both the optimum and the compensated
-    excitation. evaluate_point and run_sweep share this step.
+    excitation. evaluate_point and run_sweep share this step; ``solved`` is
+    the point's (x, y, D, pivot) from run_sweep's stacked solve, or None to
+    solve it here.
     """
-    x, dmax = _solve_steering(impedance, steering)
+    x, dmax = _solve_steering(impedance, steering, solved=solved)
     uncoupled = _optimum(impedance, x, dmax)
     d_trad = coupled_directivity(impedance, coupling, steering, uncoupled.excitation)
     compensated = _compensated(impedance, coupling, steering, x)
@@ -209,9 +219,10 @@ def _beamform_point(impedance, steering, coupling, efficiency, spacing) -> tuple
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
     """Evaluate every sweep point, in spacing order.
 
-    Builds the impedance matrices of all spacings as one stack and evaluates
-    the pattern toward (theta0, phi0) once; each point is then one
-    _beamform_point step. Singular or untrustworthy points are flagged with
+    Builds the impedance matrices of all spacings as one stack, evaluates
+    the pattern toward (theta0, phi0) once and solves the steering systems
+    of each block of spacings in one _substitute call; each point is then
+    one _beamform_point step. Singular or untrustworthy points are flagged with
     NaNs and the sweep continues. ``threads`` is accepted for compatibility
     and ignored: points run serially.
     """
@@ -224,8 +235,9 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
     geometries = [ArrayGeometry(spec.antennas, float(s)) for s in spacings]
     theta0 = math.radians(spec.theta0_deg)
     pattern_value = pattern.evaluate(theta0, math.radians(spec.phi0_deg))
+    steerings = [_steering(pattern_value, theta0, g.z_positions) for g in geometries]
 
-    def one_point(geometry: ArrayGeometry, impedance, residue) -> SweepRow:
+    def one_point(geometry: ArrayGeometry, steering, impedance, residue, solved) -> SweepRow:
         try:
             matrix = fixed_matrix
             if matrix is None:
@@ -237,8 +249,8 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
                     truncation=spec.truncation,
                 )
             _check_residue(residue)
-            steering = _steering(pattern_value, theta0, geometry.z_positions)
-            return _beamform_point(impedance, steering, matrix, spec.efficiency, geometry.spacing)[0]
+            return _beamform_point(impedance, steering, matrix, spec.efficiency, solved,
+                                   geometry.spacing)[0]
         except NUMERICAL_FAILURES as exc:
             cond = getattr(exc, "condition_number", None)
             return SweepRow(
@@ -251,5 +263,11 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
                 note=str(exc),
             )
 
-    matrices = _impedance_blocks(spacings, spec.antennas, pattern, quadrature)
-    return [one_point(g, *built) for g, built in zip(geometries, matrices)]
+    rows = []
+    blocks = _impedance_blocks(spacings, spec.antennas, pattern, quadrature)
+    for matrices, factors, residues in blocks:
+        block = slice(len(rows), len(rows) + len(matrices))
+        rhs = np.array([steering.values for steering in steerings[block]]).conj()
+        solves = zip(*_substitute(factors, rhs))
+        rows += map(one_point, geometries[block], steerings[block], matrices, residues, solves)
+    return rows

@@ -6,7 +6,14 @@ random well-conditioned coupling matrix. Gain stays below the coupled
 directivity whenever there is loss, and the gain-optimal excitation has at
 least the compensated excitation's gain. Every tolerance is a multiple of
 machine epsilon times the reported cond(Z) (and cond(C) where C enters).
+
+The stacked substitution that every steering solve goes through solves each
+system of a stack bit for bit as it would alone, with residuals at the
+backward-error bound of triangular substitution, and a zero pivot in one
+system flags that system only.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +34,7 @@ from superdir import (  # noqa: E402
     steering_vector,
 )
 from superdir.arraymodel import ANALYTIC_KINDS  # noqa: E402
+from superdir.beamform import _substitute  # noqa: E402
 
 # same examples on every run, no example database, and a bounded run time;
 # each example builds one impedance matrix on the default quadrature
@@ -136,3 +144,76 @@ def test_the_gain_optimum_has_at_least_the_compensated_gain(data):
     best_gain = gain(impedance, coupling, steering, best.excitation, efficiency)
     compensated_gain = gain(impedance, coupling, steering, compensated.excitation, efficiency)
     assert best_gain >= compensated_gain * (1.0 - _tolerance(best, coupling))
+
+
+# ---- the stacked substitution ---------------------------------------------------
+
+
+@st.composite
+def triangular_stacks(draw):
+    """(R, b): S = 1-6 upper-triangular R of size M = 1-12 and complex right-hand sides b (S, M).
+
+    R = D (I + N) with |D_kk| in [1, 2] and N strictly upper with entries in
+    [-1, 1] / M, so ||N||_2 < 1 / sqrt(2) and cond(R) < 12.
+    """
+    count = draw(st.integers(1, 6))
+    size = draw(st.integers(1, 12))
+    shape = (count, size, size)
+    entries = draw(st.lists(UNIT, min_size=count * size * size, max_size=count * size * size))
+    upper = np.triu(np.reshape(entries, shape), 1) / size
+    moduli = draw(st.lists(st.floats(min_value=1.0, max_value=2.0), min_size=count * size,
+                           max_size=count * size))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=count * size, max_size=count * size))
+    scale = (np.array(moduli) * np.array(signs)).reshape(count, size, 1)
+    factors = scale * (np.eye(size) + upper)
+    rhs = draw(st.lists(st.builds(complex, UNIT, UNIT), min_size=count * size, max_size=count * size))
+    return factors, np.reshape(rhs, (count, size))
+
+
+def _bytes(solve):
+    return [np.asarray(part).tobytes() for part in solve]
+
+
+@BOUNDED
+@given(triangular_stacks())
+def test_each_stacked_system_is_its_single_solve_bit_for_bit(stack):
+    factors, rhs = stack
+    stacked = _substitute(factors, rhs)
+    for s in range(rhs.shape[0]):
+        alone = _substitute(factors[s:s + 1], rhs[s:s + 1])
+        assert _bytes(part[s:s + 1] for part in stacked) == _bytes(alone)
+
+
+@BOUNDED
+@given(triangular_stacks())
+def test_substitution_residuals_are_within_the_backward_error_bound(stack):
+    factors, rhs = stack
+    x, y, dmax, pivots = _substitute(factors, rhs)
+    assert not pivots.any()
+    size = rhs.shape[1]
+    for r, b, xs, ys, d in zip(factors, rhs, x, y, dmax):
+        bound = 10.0 * size * EPS * np.linalg.norm(r, 2)
+        assert np.linalg.norm(r.T @ ys - b) <= bound * np.linalg.norm(ys)
+        assert np.linalg.norm(r @ xs - ys) <= bound * np.linalg.norm(xs)
+        assert d == pytest.approx(np.vdot(ys, ys).real, rel=size * EPS)
+
+
+@BOUNDED
+@given(triangular_stacks(), st.data())
+def test_a_zero_pivot_flags_only_its_own_system(stack, data):
+    factors, rhs = stack
+    count, size = rhs.shape
+    singular = data.draw(st.integers(0, count - 1))
+    pivot = data.draw(st.integers(0, size - 1))
+    clean = _substitute(factors, rhs)
+    factors = factors.copy()
+    factors[singular, pivot, pivot] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a zero pivot raises no NumPy warning
+        flagged = _substitute(factors, rhs)
+    expected = np.zeros(count, dtype=int)
+    expected[singular] = pivot + 1
+    assert flagged[3].tolist() == expected.tolist()
+    assert not np.isfinite(flagged[0][singular]).all()
+    others = np.arange(count) != singular
+    assert _bytes(part[others] for part in flagged) == _bytes(part[others] for part in clean)

@@ -445,6 +445,45 @@ print(loaded)
     assert result.stdout.splitlines()[-1] == "[False, False]"
 
 
+def test_no_command_needs_scipy(tmp_path):
+    import superdir
+
+    script = """
+import sys
+
+sys.modules["scipy"] = None  # any import of scipy or a scipy submodule now raises ImportError
+import superdir.cli
+
+work = sys.argv[1]
+runs = [
+    ["coupling", "synth", "--antennas", "2", "--spacing", "0.2", "--gamma", "0.3", "--beta", "1.1",
+     "--truncation", "8", "--output-dir", work],
+    ["coupling", "estimate", "--isolated", work + "/isolated_1.csv", work + "/isolated_2.csv",
+     "--active", work + "/active_1.csv", work + "/active_2.csv", "--truncation", "8",
+     "--output", work + "/c.csv"],
+    ["swe", "fit", "--input", work + "/isolated_1.csv", "--truncation", "8",
+     "--output", work + "/q.csv"],
+    ["impedance", "--antennas", "3", "--spacing", "0.1", "--output", work + "/z.csv"],
+    ["beamform", "--antennas", "3", "--spacing", "0.1"],
+    ["beamform", "--antennas", "3", "--spacing", "0.1", "--loading", "0.01"],
+    ["beamform", "--antennas", "3", "--spacing", "0.1", "--efficiency", "0.9"],
+    ["sweep", "--antennas", "3", "--spacing", "0.05:0.4:4"],
+    ["sweep", "--antennas", "2", "--spacing", "0.1:0.3:3", "--pattern", "half-wave-dipole",
+     "--coupling", "synthetic:gamma=0.3,beta=1.1", "--truncation", "8"],
+    ["sweep", "--antennas", "2", "--spacing", "0.1:0.3:3",
+     "--coupling", "file:" + work + "/coupling_true.csv"],
+]
+print([superdir.cli.main(argv) for argv in runs])
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+    paths = (str(Path(superdir.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-2:] == [str([0] * 10), "['scipy']"], result.stderr
+
+
 def test_synth_then_estimate_fits_the_read_back_grid_by_order(tmp_path, capsys, monkeypatch):
     from superdir import swe
 
@@ -631,6 +670,8 @@ def test_non_finite_lengths_exit_one(flags, message, tmp_path, capsys, monkeypat
     (["sweep", "--antennas", "2", "--spacing", "0.1:0.2:2", "--phi0", "nan"],
      "phi0_deg must be finite"),
     (["sweep", "--config", "nan_phi0.cfg"], "phi0_deg must be finite"),
+    (["beamform", "--antennas", "4", "--spacing", "0.2", "--phi0", "nan"], "phi0_deg must be finite"),
+    (["beamform", "--antennas", "4", "--spacing", "0.2", "--phi0", "inf"], "phi0_deg must be finite"),
     (["sweep", "--antennas", "2", "--spacing", "0.1:0.2:2", "--coupling",
       "synthetic:gamma=0.3,beta=inf"], "beta must be finite"),
     (["beamform", "--antennas", "2", "--spacing", "0.1", "--coupling",

@@ -203,8 +203,9 @@ def test_stacked_build_is_the_one_spacing_build_bit_for_bit(kind):
         quadrature = SphereQuadrature.gauss_legendre(*nodes)
         for spacings in (np.array([0.137]), np.linspace(0.02, 0.7, 23)):
             stack = radiation._impedance_stack(spacings, count, pattern, quadrature, loading)
-            assert [len(part) for part in stack] == [spacings.size] * 3
-            for spacing, built, unloaded, residue in zip(spacings, *stack):
+            assert [len(part) for part in stack] == [spacings.size] * 4
+            for spacing, built, unloaded, factor, residue in zip(spacings, *stack):
+                assert factor.tobytes() == built.factor.tobytes()
                 geometry = ArrayGeometry(count, float(spacing))
                 expected = _one_spacing_reference(geometry, pattern, quadrature, loading)
                 got = (unloaded, built.values, built.condition_number, built.factor, residue)
