@@ -27,6 +27,7 @@ from .errors import DegenerateGeometryError, DimensionError, DomainError
 from .swe import (
     FieldSampleSet,
     _check_directions,
+    _require_distinct,
     default_fit_grid,
     solve_wave_coefficients,
     truncation_degree,
@@ -98,26 +99,28 @@ def isolated_fields_synthetic(
     Element m radiates the origin element field shifted by its position
     phase: E_m(theta, phi) = E_0(theta, phi) * exp(j k r_hat . r_m). The
     polarization of E_0 follows the element model (see
-    ElementPattern.polarized).
+    ElementPattern.polarized). The grid is checked once and the M sets
+    share it.
     """
-    dirs = _check_directions(directions)
+    dirs = _require_distinct(_check_directions(directions))
     theta = dirs[:, 0]
     element = np.stack(pattern.polarized(theta, dirs[:, 1]), axis=1).reshape(-1, 1)  # (2P, 1)
     phase = np.exp((1j * WAVE_NUMBER * np.cos(theta))[:, None] * geometry.z_positions)
     table = element * np.repeat(phase, 2, axis=0)  # (2P, M)
-    return [FieldSampleSet(directions=dirs, values=column) for column in table.T]
+    return [FieldSampleSet._on_checked_grid(dirs, column) for column in table.T]
 
 
 def synthesize_coupled_fields(isolated: list, coupling: CouplingMatrix) -> list:
     """Active element fields under a known coupling matrix.
 
     Driving port n yields sum_m c_mn * isolated_m; returns one FieldSampleSet
-    per port, on the shared grid of the isolated fields.
+    per port, on the shared grid of the isolated fields, which their own
+    construction checked.
     """
     if len(isolated) != coupling.size:
         raise DimensionError("need one isolated field per array element")
     dirs, table = _field_table(isolated)
-    return [FieldSampleSet(directions=dirs, values=column) for column in (table @ coupling.values).T]
+    return [FieldSampleSet._on_checked_grid(dirs, column) for column in (table @ coupling.values).T]
 
 
 def _field_table(fields, stack=True):

@@ -20,12 +20,14 @@ pole-regular ratio Pbar/sin(theta), so the m = +-1 limits at theta in
 {0, pi} come out exactly and every other order vanishes there, as required.
 
 Least-squares fits on theta-major equiangular grids (each theta row sampled
-at phi_l = 2 pi l / C with C >= 2N+1, such as default_fit_grid) are solved
-one azimuthal order at a time after a DFT over phi (Hansen, Spherical
-Near-Field Antenna Measurements, 1988, ch. 4); samples on any other set of
-directions solve the dense basis in real arithmetic, on the real form of its
-conjugate mode pairs (ibid., ch. 2). Both paths share the sampling, cutoff
-and rank rules.
+at phi_l = 2 pi l / C with C >= 2N+1, such as default_fit_grid) split into
+one theta-only problem per azimuthal order after a DFT over phi (Hansen,
+Spherical Near-Field Antenna Measurements, 1988, ch. 4). Orders m and -m
+share one real block up to signs and unit factors, so the N+1 real blocks,
+zero-padded to one shape, solve all 2N+1 orders in one stacked product with
+their cached pseudoinverses. Samples on any other set of directions solve
+the dense basis in real arithmetic, on the real form of its conjugate mode
+pairs (ibid., ch. 2). Both paths share the sampling, cutoff and rank rules.
 
 The dense fit forms the Gram matrix G = R^T R of the real basis R. When the
 eigenvalues of G all exceed 1e-8 times the largest, cond(R) < 1e4 and full
@@ -129,12 +131,20 @@ class FieldSampleSet:
     def __post_init__(self):
         dirs = _check_directions(self.directions)
         vals = _check_values(self.values, dirs.shape[0], 1).reshape(-1)
-        # complex order is (theta, phi) order, so equal directions end up adjacent
-        ordered = np.sort(dirs[:, 0] + 1j * dirs[:, 1])
-        if np.any(ordered[1:] == ordered[:-1]):
-            raise DomainError("directions contain duplicates")
-        object.__setattr__(self, "directions", dirs)
+        object.__setattr__(self, "directions", _require_distinct(dirs))
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _on_checked_grid(cls, directions, values) -> "FieldSampleSet":
+        """A set on directions that have already passed _check_directions and _require_distinct.
+
+        Only the values are checked, so sets built on one grid check it once.
+        """
+        samples = object.__new__(cls)
+        object.__setattr__(samples, "directions", directions)
+        values = _check_values(values, directions.shape[0], 1).reshape(-1)
+        object.__setattr__(samples, "values", values)
+        return samples
 
     @classmethod
     def from_components(cls, directions, etheta, ephi) -> "FieldSampleSet":
@@ -238,6 +248,15 @@ def _check_directions(directions):
     return dirs
 
 
+def _require_distinct(directions):
+    """Checked directions, after a check that no direction appears twice."""
+    # complex order is (theta, phi) order, so equal directions end up adjacent
+    ordered = np.sort(directions[:, 0] + 1j * directions[:, 1])
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise DomainError("directions contain duplicates")
+    return directions
+
+
 def _check_values(values, point_count, fields=-1):
     """(2P, K) complex table of ``fields`` finite fields (-1: any number), one per column."""
     vals = np.asarray(values, dtype=complex)
@@ -314,6 +333,8 @@ def basis_matrix(directions, truncation: int) -> np.ndarray:
 
 # j^k = 1 / (-j)^k for k mod 4: undoes the unit factor of an m = 0 mode exactly
 _INVERSE_UNITS = np.array([1.0, 1j, -1.0, -1j])
+# D^-1 on the (theta, phi) rows of order m (column 0) and, times S, of order -m (column 1)
+_ROW_UNITS = np.array([[1.0, -1.0], [-1j, -1j]])
 
 
 def _conjugate_pairs(truncation):
@@ -430,22 +451,45 @@ def _require_rank(rank, modes):
 
 @functools.lru_cache(maxsize=8)
 def _order_factors(truncation, theta_bytes):
-    """Theta block, column indices and SVD of every order m = -N..N, read-only.
+    """Real stacks that fit all orders m = -N..N on these theta rows, read-only.
 
-    They depend only on N and the theta rows (passed as float64 bytes so the
-    cache compares them by value), never on the sampled values, so repeated
-    fits on one grid factor it once. An entry takes 0.78 MiB at N = 13 and
-    7.7 MiB at N = 29.
+    The theta block of order m (_order_block) is D A_|m| W with D = diag(1, j)
+    on the (theta, phi) rows, W = diag((-j)^n) on the columns and A_|m| real,
+    and order -m has A_-m = (-1)^m S A_m T, S negating the theta rows and T
+    the TM columns. So the real A_k of k = 0..N serve every order. Returns
+    (pinv, basis, singular, source, units): A_k^+ (N+1, 2N, 2R) and A_k
+    (N+1, 2R, 2N), zero-padded to 2N columns; the singular values of each
+    A_k (N+1, 2N), zero-padded; and, per flattened mode, the row of the
+    stacked solution that holds it and the unit that turns it into the
+    coefficient. They depend only on N and the theta rows (passed as float64
+    bytes so the cache compares them by value), never on the sampled values,
+    so repeated fits on one grid factor it once. An entry takes 0.33 MiB at
+    N = 13 and 3.2 MiB at N = 29 on default_fit_grid.
     """
-    ratio, tau = _angular_tables(truncation, np.frombuffer(theta_bytes))
-    factors = []
-    for m in range(-truncation, truncation + 1):
-        block, columns = _order_block(m, truncation, ratio, tau)
-        u, s, vh = np.linalg.svd(block, full_matrices=False)
-        for array in (block, columns, u, s, vh):
-            array.flags.writeable = False
-        factors.append((block, columns, u, s, vh))
-    return tuple(factors)
+    theta = np.frombuffer(theta_bytes)
+    ratio, tau = _angular_tables(truncation, theta)
+    rows, width = 2 * theta.size, 2 * truncation
+    pinv = np.zeros((truncation + 1, width, rows))
+    basis = np.zeros((truncation + 1, rows, width))
+    singular = np.zeros((truncation + 1, width))
+    s, m, n = _mode_table(truncation).T
+    units = _INVERSE_UNITS[n % 4]  # j^n = 1 / (-j)^n undoes W
+    row_units = np.tile(_ROW_UNITS[:, 0], theta.size)
+    for k in range(truncation + 1):
+        block, columns = _order_block(k, truncation, ratio, tau)
+        real = (block * row_units[:, None] * units[columns]).real  # exact: units times reals
+        u, sv, vh = np.linalg.svd(real, full_matrices=False)
+        inverse = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > 0.0)
+        pinv[k, :columns.size] = (vh.T * inverse) @ u.T
+        basis[k, :, :columns.size] = real
+        singular[k, :sv.size] = sv
+    k = np.abs(m)
+    # solution row (k, column of A_k, sign of m), read as the fit's (N+1, 2N, 2, K) complex view
+    source = 2 * (k * width + 2 * (n - np.maximum(k, 1)) + s - 1) + (m < 0)
+    units = units * np.where(m < 0, (-1.0) ** (k + s - 1), 1.0)  # (-1)^m T for order -m
+    for array in (pinv, basis, singular, source, units):
+        array.flags.writeable = False
+    return pinv, basis, singular, source, units
 
 
 def _fit_by_order(theta_rows, columns, values, truncation, rcond):
@@ -453,27 +497,38 @@ def _fit_by_order(theta_rows, columns, values, truncation, rcond):
 
     The forward-normalized DFT over phi leaves in bin m mod C the theta
     profile of order m, so the dense problem splits into one theta-only block
-    per m. The dense basis has singular values sqrt(C) * sigma(block), so the
-    dense cutoff rcond * sigma_max becomes rcond times the largest block
-    singular value. Returns the coefficients and the absolute misfit per
-    column.
+    per m; orders m and -m share the real A_|m| of _order_factors, so one
+    stacked product solves all of them. The dense basis has singular values
+    sqrt(C) * sigma(block), so the dense cutoff rcond * sigma_max becomes
+    rcond times the largest block singular value. Returns the coefficients
+    and the absolute misfit per column.
     """
     rows, fields = theta_rows.size, values.shape[1]
-    spectrum = np.fft.fft(values.reshape(rows, columns, 2, fields), axis=1, norm="forward")
-    factors = _order_factors(truncation, theta_rows.tobytes())
-    cutoff = rcond * max(s[0] for _, _, _, s, _ in factors)
+    pinv, basis, singular, source, units = _order_factors(truncation, theta_rows.tobytes())
+    above = singular > rcond * singular.max()
     _require_rank(
-        sum(int(np.count_nonzero(s > cutoff)) for _, _, _, s, _ in factors),
+        2 * int(np.count_nonzero(above)) - int(np.count_nonzero(above[0])),
         mode_count(truncation),
     )
-    coeffs = np.empty((mode_count(truncation), fields), dtype=complex)
-    for m, (block, cols, u, s, vh) in zip(range(-truncation, truncation + 1), factors):
-        profile = spectrum[:, m % columns]  # view: the misfit is left behind in place
-        q = vh.conj().T @ ((u.conj().T @ profile.reshape(2 * rows, fields)) / s[:, None])
-        coeffs[cols] = q
-        profile -= (block @ q).reshape(rows, 2, fields)
-    misfit = np.sqrt(columns) * np.linalg.norm(spectrum.reshape(-1, fields), axis=0)
-    return coeffs, misfit
+    spectrum = np.fft.fft(values.reshape(rows, columns, 2, fields), axis=1, norm="forward")
+    orders = np.arange(truncation + 1)
+    bins = np.stack((orders, -orders), axis=1) % columns  # (k, sign): orders +k and -k
+    # rhs[k, r, component, sign] = spectrum[r, bin, component], times D^-1 (and S)
+    samples = np.arange(rows)[:, None, None] * columns + bins[:, None, None, :]
+    picks = 2 * samples + np.arange(2)[:, None]
+    rhs = np.take(spectrum.reshape(-1, fields), picks, axis=0)
+    rhs *= _ROW_UNITS[:, :, None]
+    rhs = rhs.reshape(truncation + 1, 2 * rows, 2 * fields).view(float)
+    solution = pinv @ rhs
+    residual = rhs - basis @ solution
+    squares = np.einsum("kri,kri->ki", residual, residual)
+    squares = squares.reshape(truncation + 1, 2, fields, 2).sum(axis=3)
+    # order 0 sits in both halves; the bins past N hold only misfit
+    rest = spectrum.view(float)[:, truncation + 1 : columns - truncation]
+    total = squares[:, 0].sum(axis=0) + squares[1:, 1].sum(axis=0)
+    total += np.einsum("ijkl,ijkl->l", rest, rest).reshape(fields, 2).sum(axis=1)
+    coeffs = solution.view(complex).reshape(-1, fields)[source] * units[:, None]
+    return coeffs, np.sqrt(columns * total)
 
 
 # Gram eigenvalues all above this share of the largest certify

@@ -1,11 +1,12 @@
 """Spacing sweeps over the beamforming pipeline.
 
 Points run one after another in spacing order. Work that does not depend on
-the spacing is done once per sweep: one element pattern and one quadrature
-serve every point, so the impedance ring weights are computed once, the
-pattern toward (theta0, phi0) is evaluated once, and the spherical-wave fits
-of a synthetic source reuse the cached per-order factors of each truncation
-order. The impedance matrices of all spacings are built as one stack (one
+the spacing is done once per sweep or less: every sweep of one pattern kind
+and node count shares one element pattern and one cached quadrature, so the
+impedance ring weights are computed once for all of them; the pattern toward
+(theta0, phi0) is evaluated once per sweep; and the spherical-wave fits of a
+synthetic source reuse the cached order factors of each truncation order.
+The impedance matrices of all spacings are built as one stack (one
 phase table, one batched matmul, one stacked cond and QR), a block of
 spacings at a time so that memory does not grow with the number of steps,
 and the steering systems of a block are solved together by one stacked
@@ -21,6 +22,7 @@ would do (the truncation override applies there).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +50,7 @@ from .errors import NUMERICAL_FAILURES, DataError, DomainError
 from .radiation import (
     DEFAULT_NODES,
     SphereQuadrature,
+    _cached_gauss_legendre,
     _check_residue,
     _impedance_blocks,
     impedance_matrix,
@@ -118,6 +121,16 @@ class SweepRow:
     gain: float
     condition_number: float
     note: str = ""
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_pattern(kind: str) -> ElementPattern:
+    """The one immutable pattern of an analytic kind.
+
+    radiation._ring_weights caches by identity, so every sweep of one kind
+    and quadrature hits it.
+    """
+    return ElementPattern.from_kind(kind)
 
 
 def _parse_fixture_params(body: str) -> tuple:
@@ -226,8 +239,8 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
     NaNs and the sweep continues. ``threads`` is accepted for compatibility
     and ignored: points run serially.
     """
-    pattern = ElementPattern.from_kind(spec.pattern_kind)
-    quadrature = SphereQuadrature.gauss_legendre(spec.quadrature_theta, spec.quadrature_phi)
+    pattern = _shared_pattern(spec.pattern_kind)
+    quadrature = _cached_gauss_legendre(spec.quadrature_theta, spec.quadrature_phi)
     fixed_matrix = None
     if not spec.coupling_source.startswith("synthetic:"):
         fixed_matrix = parse_coupling_source(spec.coupling_source, spec.antennas)

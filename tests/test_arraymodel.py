@@ -84,7 +84,7 @@ COUNT_SITES = {
 }
 
 
-@pytest.mark.parametrize("bad", [2.5, np.nan, np.inf, "3", "below"])
+@pytest.mark.parametrize("bad", [2.5, 8.5, np.nan, np.inf, "3", "below"])
 @pytest.mark.parametrize("site", sorted(COUNT_SITES))
 def test_every_count_and_index_is_checked_by_name(site, bad):
     name, minimum, call = COUNT_SITES[site]

@@ -320,6 +320,31 @@ def test_fixture_testbed_feeds_the_library_estimate():
         assert again.estimation_residual == estimate.estimation_residual
 
 
+def test_testbed_sets_share_one_checked_grid_and_hold_interleaved_fields():
+    geometry = ArrayGeometry(4, 0.15)
+    trunc, fixture, isolated, active = fixture_testbed(geometry, HERTZIAN, 0.3, 1.1)
+    grid = isolated[0].directions
+    assert all(f.directions is grid for f in isolated + active)
+    np.testing.assert_array_equal(grid, default_fit_grid(trunc))
+    e_th, e_ph = HERTZIAN.polarized(grid[:, 0], grid[:, 1])
+    phases = np.exp(1j * WAVE_NUMBER * np.outer(np.cos(grid[:, 0]), geometry.z_positions))
+    for m, field in enumerate(isolated):
+        assert field.values.shape == (2 * grid.shape[0],) and np.all(np.isfinite(field.values))
+        np.testing.assert_allclose(field.etheta, e_th * phases[:, m], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(field.ephi, e_ph * phases[:, m], rtol=1e-13, atol=0.0)
+    table = np.stack([f.values for f in isolated], axis=1) @ fixture.values
+    for n, field in enumerate(active):
+        assert field.values.shape == (2 * grid.shape[0],) and np.all(np.isfinite(field.values))
+        np.testing.assert_array_equal(field.values, table[:, n])
+
+
+def test_synthetic_fields_on_a_grid_with_a_repeated_direction_are_rejected():
+    grid = default_fit_grid(2)
+    grid = np.vstack((grid, grid[5]))
+    with pytest.raises(DomainError, match="^directions contain duplicates$"):
+        isolated_fields_synthetic(ArrayGeometry(2, 0.2), HERTZIAN, grid)
+
+
 def test_fixture_testbed_rejects_an_explicit_zero_order():
     with pytest.raises(DomainError, match="truncation order"):
         fixture_testbed(ArrayGeometry(2, 0.2), HERTZIAN, 0.3, 1.2, truncation=0)

@@ -3,8 +3,11 @@
 Synthetic active fields are the element field times the array factor of a
 coupling column, and the library estimate recovers that coupling. A field
 built from known mode coefficients fits back to them on both fit paths, and
-the same field sampled at phi + phi0 fits to q_m exp(j m phi0). A sample set
-rejects a repeated direction and accepts directions 1 ulp apart.
+the same field sampled at phi + phi0 fits to q_m exp(j m phi0). On random
+equiangular grids the stacked order-split fit gives the dense fit's
+coefficients, and where its blocks are wide it reports the rank that a
+separate SVD of each order's block gives. A sample set rejects a repeated
+direction and accepts directions 1 ulp apart.
 """
 
 import numpy as np
@@ -15,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from superdir import (  # noqa: E402
     ArrayGeometry,
+    ConditioningError,
     CouplingMatrix,
     DomainError,
     ElementFieldLibrary,
@@ -143,6 +147,73 @@ def test_a_field_sampled_at_phi_plus_phi0_fits_to_its_coefficients_times_exp_j_m
         rotated = reconstruct_field(field, directions + [0.0, phi0])
         fit = fit_wave_coefficients(FieldSampleSet(directions, rotated.values), truncation)
         assert np.linalg.norm(fit.coefficients - expected) <= tolerance
+
+
+def _equiangular(theta, columns):
+    th, ph = np.meshgrid(theta, 2.0 * np.pi * np.arange(columns) / columns, indexing="ij")
+    return np.column_stack((th.ravel(), ph.ravel()))
+
+
+@st.composite
+def equiangular_fits(draw, wide=False):
+    """(N, grid, values): N = 1-12 (2-12 if ``wide``), C >= 2N+1, jittered theta rows.
+
+    Rows number N+1 to 2N+2, so every order's block is tall, or with ``wide``
+    1 to N-1, so the blocks of the lowest orders have fewer rows than modes;
+    C then also gives at least as many equations as modes. The values are
+    fields of random coefficients plus 1e-3 noise, 1-3 per grid.
+    """
+    truncation = draw(st.integers(2 if wide else 1, 12))
+    rows = draw(st.integers(1, truncation - 1) if wide else st.integers(truncation + 1, 2 * truncation + 2))
+    least = max(2 * truncation + 1, -(-truncation * (truncation + 2) // rows))
+    columns = draw(st.integers(least, least + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = (np.arange(rows) + 0.5 + rng.uniform(-0.25, 0.25, rows)) * np.pi / rows
+    grid = _equiangular(theta, columns)
+    fields = draw(st.integers(1, 3))
+    shape = (mode_count(truncation), fields)
+    q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    values = basis_matrix(grid, truncation) @ q
+    values += 1e-3 * (rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape))
+    return truncation, grid, values
+
+
+@BOUNDED
+@given(equiangular_fits())
+def test_stacked_order_fit_matches_the_dense_real_fit(case):
+    # fails if a coefficient is gathered from the neighbouring order's row, or if
+    # order -m misses its (-1)^m or TM sign
+    truncation, grid, values = case
+    assert swe._equiangular_rows(grid, truncation) is not None
+    coefficients, residuals = swe.solve_wave_coefficients(grid, values, truncation)
+    basis = swe._real_basis_matrix(grid, truncation)
+    fields = values.shape[1]
+    x, *_ = np.linalg.lstsq(basis, np.concatenate((values.real, values.imag), axis=1), rcond=None)
+    dense = swe._complex_coefficients(x[:, :fields] + 1j * x[:, fields:], truncation)
+    misfit = np.linalg.norm(basis @ x - np.concatenate((values.real, values.imag), axis=1), axis=0)
+    misfit = np.hypot(misfit[:fields], misfit[fields:]) / np.linalg.norm(values, axis=0)
+    assert np.linalg.norm(coefficients - dense) <= 1e-11 * np.linalg.norm(dense)
+    np.testing.assert_allclose(residuals, misfit, rtol=1e-9)
+
+
+def _rank_of_each_order(grid, truncation):
+    """Effective rank by a separate SVD of each order's complex block, under the global cutoff."""
+    ratio, tau = swe._angular_tables(truncation, np.unique(grid[:, 0]))
+    singular = [np.linalg.svd(swe._order_block(m, truncation, ratio, tau)[0], compute_uv=False)
+                for m in range(-truncation, truncation + 1)]
+    cutoff = max(2 * grid.shape[0], mode_count(truncation)) * EPS * max(s[0] for s in singular)
+    return sum(int(np.count_nonzero(s > cutoff)) for s in singular)
+
+
+@BOUNDED
+@given(equiangular_fits(wide=True))
+def test_wide_order_blocks_report_the_rank_of_each_order(case):
+    # fails if the orders -m are left out of the count, or order 0 is counted twice
+    truncation, grid, values = case
+    assert swe._equiangular_rows(grid, truncation) is not None
+    with pytest.raises(ConditioningError) as info:
+        swe.solve_wave_coefficients(grid, values, truncation)
+    assert info.value.effective_rank == _rank_of_each_order(grid, truncation) < mode_count(truncation)
 
 
 @st.composite
