@@ -18,6 +18,11 @@ error of each bad angle and non-finite scalar, and of each bad count or
 index (``count_errors``). Uses only the public API and
 the CLI; every CLI group also records exit codes and stderr, with the
 scratch directory's path replaced by ``<work>``.
+
+Each synthetic-coupling sweep runs twice in a row, and the script exits
+non-zero if the second (warm) run's CSV differs from the first: the
+spherical-wave grid caches must never hand back stale results. The rerun
+adds nothing to the printed digests.
 """
 
 from __future__ import annotations
@@ -133,7 +138,13 @@ def sweeps(workdir):
         cases.append(dict(antennas=m, pattern_kind=kind, theta0_deg=theta0, efficiency=0.8,
                           coupling_source="synthetic:gamma=0.3,beta=1.1", spacing_start=0.05,
                           spacing_stop=0.6, spacing_steps=6))
-    csvs = [_sweep_csv(**{**SPACINGS, **case}) for case in cases]
+    csvs = []
+    for case in cases:
+        csvs.append(_sweep_csv(**{**SPACINGS, **case}))
+        # a synthetic rerun hits every grid cache the first run filled; it must not differ
+        if case.get("coupling_source", "").startswith("synthetic:"):
+            if _sweep_csv(**{**SPACINGS, **case}) != csvs[-1]:
+                sys.exit(f"sweeps: a warm rerun of {case} differs from its cold run")
     return f"{len(csvs)} csvs", _digest(csvs)
 
 

@@ -18,6 +18,7 @@ matrix of that convention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +27,11 @@ from .arraymodel import WAVE_NUMBER, ArrayGeometry, ElementPattern, _check_integ
 from .errors import DegenerateGeometryError, DimensionError, DomainError
 from .swe import (
     FieldSampleSet,
-    _check_directions,
+    _checked_grid,
+    _fit,
+    _fit_grid,
     _require_distinct,
-    default_fit_grid,
-    solve_wave_coefficients,
+    _truncation_order,
     truncation_degree,
 )
 
@@ -99,15 +101,32 @@ def isolated_fields_synthetic(
     Element m radiates the origin element field shifted by its position
     phase: E_m(theta, phi) = E_0(theta, phi) * exp(j k r_hat . r_m). The
     polarization of E_0 follows the element model (see
-    ElementPattern.polarized). The grid is checked once and the M sets
-    share it.
+    ElementPattern.polarized). The M sets share one read-only copy of the
+    grid. The grid checks, E_0 and the phase slope k cos(theta) depend only
+    on the pattern and the grid, so they are cached by the pattern and the
+    values of the grid: repeated calls on one grid (a synthetic sweep at
+    each spacing of one truncation order) do that work once.
     """
-    dirs = _require_distinct(_check_directions(directions))
-    theta = dirs[:, 0]
-    element = np.stack(pattern.polarized(theta, dirs[:, 1]), axis=1).reshape(-1, 1)  # (2P, 1)
-    phase = np.exp((1j * WAVE_NUMBER * np.cos(theta))[:, None] * geometry.z_positions)
+    dirs = np.asarray(directions, dtype=float)
+    grid, element, slope = _element_field(pattern, dirs.shape, dirs.tobytes())
+    phase = np.exp(slope[:, None] * geometry.z_positions)
     table = element * np.repeat(phase, 2, axis=0)  # (2P, M)
-    return [FieldSampleSet._on_checked_grid(dirs, column) for column in table.T]
+    return [FieldSampleSet._on_checked_grid(grid, column) for column in table.T]
+
+
+@functools.lru_cache(maxsize=8)
+def _element_field(pattern, shape, data):
+    """(grid, E_0 as (2P, 1), j k cos theta) of ``pattern`` on these direction bytes; read-only.
+
+    The grid has passed the direction and distinctness checks; a grid that
+    fails them raises on every call.
+    """
+    grid = _require_distinct(_checked_grid(shape, data))
+    theta = grid[:, 0]
+    element = np.stack(pattern.polarized(theta, grid[:, 1]), axis=1).reshape(-1, 1)
+    slope = 1j * WAVE_NUMBER * np.cos(theta)
+    element.flags.writeable = slope.flags.writeable = False
+    return grid, element, slope
 
 
 def synthesize_coupled_fields(isolated: list, coupling: CouplingMatrix) -> list:
@@ -168,10 +187,10 @@ def build_coefficient_set(fields: list, truncation: int) -> np.ndarray:
     """Spherical mode coefficients of several fields on one shared grid.
 
     Returns a (2N(N+2), M) matrix whose column m expands fields[m]; the grid
-    is validated once and all columns are solved together by
-    solve_wave_coefficients, under the rules of fit_wave_coefficients.
+    is validated once and all columns are solved together, as
+    solve_wave_coefficients solves them, with no fit misfit formed.
     """
-    return solve_wave_coefficients(*_field_table(fields), truncation)[0]
+    return _fit(*_field_table(fields), truncation)[0]
 
 
 def estimate_coupling(isolated_coeffs: np.ndarray, active_coeffs: np.ndarray) -> CouplingMatrix:
@@ -228,7 +247,7 @@ def fixture_testbed(
     """
     fixture = coupling_fixture(geometry.element_count, gamma, beta)
     trunc = default_truncation(geometry) if truncation is None else truncation
-    isolated = isolated_fields_synthetic(geometry, pattern, default_fit_grid(trunc))
+    isolated = isolated_fields_synthetic(geometry, pattern, _fit_grid(_truncation_order(trunc)))
     active = synthesize_coupled_fields(isolated, fixture)
     return trunc, fixture, isolated, active
 

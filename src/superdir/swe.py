@@ -404,15 +404,23 @@ def default_fit_grid(truncation: int) -> np.ndarray:
     """Equiangular (2N+2) x (4N+4) direction grid, poles excluded.
 
     Theta rows sit at cell midpoints so the poles never appear; the grid
-    oversamples the 2N(N+2) modes roughly eightfold.
+    oversamples the 2N(N+2) modes roughly eightfold. Returns a fresh,
+    writable copy of the shared grid of order N.
     """
-    trunc = _truncation_order(truncation)
-    rows = 2 * trunc + 2
-    cols = 4 * trunc + 4
+    return _fit_grid(_truncation_order(truncation)).copy()
+
+
+@functools.lru_cache(maxsize=8)
+def _fit_grid(truncation):
+    """default_fit_grid of a checked order N, built once and shared read-only."""
+    rows = 2 * truncation + 2
+    cols = 4 * truncation + 4
     theta = (np.arange(rows) + 0.5) * np.pi / rows
     phi = 2.0 * np.pi * np.arange(cols) / cols
     th, ph = np.meshgrid(theta, phi, indexing="ij")
-    return np.column_stack((th.ravel(), ph.ravel()))
+    grid = np.column_stack((th.ravel(), ph.ravel()))
+    grid.flags.writeable = False
+    return grid
 
 
 # Phi samples read back from 17-digit degree CSVs land within ~1e-15 rad of
@@ -439,6 +447,22 @@ def _equiangular_rows(directions, truncation):
     ):
         return None
     return theta[:, 0], columns
+
+
+@functools.lru_cache(maxsize=8)
+def _checked_grid(shape, data):
+    """The directions of these float64 bytes, of this shape, after _check_directions; read-only.
+
+    Keyed by value, so an array that a caller changes after one call is
+    checked again on the next, and a failing check raises on every call.
+    """
+    return _check_directions(np.frombuffer(data).reshape(shape))
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_rows(shape, data, truncation):
+    """_equiangular_rows at order N of the checked directions of these bytes; read-only."""
+    return _equiangular_rows(_checked_grid(shape, data), truncation)
 
 
 def _require_rank(rank, modes):
@@ -501,7 +525,7 @@ def _fit_by_order(theta_rows, columns, values, truncation, rcond):
     stacked product solves all of them. The dense basis has singular values
     sqrt(C) * sigma(block), so the dense cutoff rcond * sigma_max becomes
     rcond times the largest block singular value. Returns the coefficients
-    and the absolute misfit per column.
+    and a function that forms the absolute misfit of each column.
     """
     rows, fields = theta_rows.size, values.shape[1]
     pinv, basis, singular, source, units = _order_factors(truncation, theta_rows.tobytes())
@@ -520,15 +544,19 @@ def _fit_by_order(theta_rows, columns, values, truncation, rcond):
     rhs *= _ROW_UNITS[:, :, None]
     rhs = rhs.reshape(truncation + 1, 2 * rows, 2 * fields).view(float)
     solution = pinv @ rhs
-    residual = rhs - basis @ solution
-    squares = np.einsum("kri,kri->ki", residual, residual)
-    squares = squares.reshape(truncation + 1, 2, fields, 2).sum(axis=3)
-    # order 0 sits in both halves; the bins past N hold only misfit
-    rest = spectrum.view(float)[:, truncation + 1 : columns - truncation]
-    total = squares[:, 0].sum(axis=0) + squares[1:, 1].sum(axis=0)
-    total += np.einsum("ijkl,ijkl->l", rest, rest).reshape(fields, 2).sum(axis=1)
     coeffs = solution.view(complex).reshape(-1, fields)[source] * units[:, None]
-    return coeffs, np.sqrt(columns * total)
+
+    def misfit():
+        residual = rhs - basis @ solution
+        squares = np.einsum("kri,kri->ki", residual, residual)
+        squares = squares.reshape(truncation + 1, 2, fields, 2).sum(axis=3)
+        # order 0 sits in both halves; the bins past N hold only misfit
+        rest = spectrum.view(float)[:, truncation + 1 : columns - truncation]
+        total = squares[:, 0].sum(axis=0) + squares[1:, 1].sum(axis=0)
+        total += np.einsum("ijkl,ijkl->l", rest, rest).reshape(fields, 2).sum(axis=1)
+        return np.sqrt(columns * total)
+
+    return coeffs, misfit
 
 
 # Gram eigenvalues all above this share of the largest certify
@@ -541,7 +569,7 @@ _GRAM_EIGENVALUE_FLOOR = 1e-8
 
 
 def _dense_least_squares(basis, parts, rcond):
-    """Solution of min ||basis x - parts|| and the squared misfit of each column.
+    """Solution of min ||basis x - parts|| and a function giving each column's squared misfit.
 
     A basis whose Gram matrix G = basis^T basis passes the eigenvalue floor
     has full rank for certain and is solved as x = G^-1 basis^T parts plus
@@ -553,13 +581,17 @@ def _dense_least_squares(basis, parts, rcond):
     if eigenvalues[0] > _GRAM_EIGENVALUE_FLOOR * eigenvalues[-1]:
         solution = np.linalg.solve(gram, basis.T @ parts)
         solution += np.linalg.solve(gram, basis.T @ (parts - basis @ solution))
-        residual = parts - basis @ solution
-        return solution, np.einsum("ij,ij->j", residual, residual)
+
+        def squares():
+            residual = parts - basis @ solution
+            return np.einsum("ij,ij->j", residual, residual)
+
+        return solution, squares
     solution, squares, rank, _ = np.linalg.lstsq(basis, parts, rcond=rcond)
     _require_rank(rank, basis.shape[1])
     if not squares.size:  # square system: LAPACK reports no residual
         squares = np.linalg.norm(basis @ solution - parts, axis=0) ** 2
-    return solution, squares
+    return solution, lambda: squares
 
 
 def solve_wave_coefficients(directions, values, truncation: int):
@@ -587,7 +619,24 @@ def solve_wave_coefficients(directions, values, truncation: int):
         The (2N(N+2), K) coefficients and the relative fit residual of each
         column.
     """
-    dirs = _check_directions(directions)
+    coeffs, rhs, misfit = _fit(directions, values, truncation)
+    absolute = misfit()
+    norms = np.linalg.norm(rhs, axis=0)
+    residuals = np.divide(absolute, norms, out=np.zeros_like(absolute), where=norms > 0.0)
+    return coeffs, residuals
+
+
+def _fit(directions, values, truncation):
+    """The checked fit of solve_wave_coefficients: (coefficients, value table, misfit).
+
+    ``misfit`` forms the absolute misfit of each column when called, so a
+    caller that needs only the coefficients never computes it. The checked
+    directions and the equiangular-row detection are cached by the bytes of
+    the directions, so repeated fits on one grid check and classify it once.
+    """
+    dirs = np.asarray(directions, dtype=float)
+    key = dirs.shape, dirs.tobytes()
+    dirs = _checked_grid(*key)
     rhs = _check_values(values, dirs.shape[0])
     trunc = _truncation_order(truncation)
     modes = mode_count(trunc)
@@ -597,7 +646,7 @@ def solve_wave_coefficients(directions, values, truncation: int):
             f"{dirs.shape[0]} directions give {n_rows} equations for {modes} modes"
         )
     rcond = max(n_rows, modes) * np.finfo(float).eps
-    grid = _equiangular_rows(dirs, trunc)
+    grid = _grid_rows(*key, trunc)
     if grid is not None:
         coeffs, misfit = _fit_by_order(*grid, rhs, trunc, rcond)
     else:
@@ -606,11 +655,13 @@ def solve_wave_coefficients(directions, values, truncation: int):
         parts = np.concatenate((rhs.real, rhs.imag), axis=1)
         solution, squares = _dense_least_squares(basis, parts, rcond)
         fields = rhs.shape[1]
-        misfit = np.sqrt(squares[:fields] + squares[fields:])
         coeffs = _complex_coefficients(solution[:, :fields] + 1j * solution[:, fields:], trunc)
-    norms = np.linalg.norm(rhs, axis=0)
-    residuals = np.divide(misfit, norms, out=np.zeros_like(misfit), where=norms > 0.0)
-    return coeffs, residuals
+
+        def misfit():
+            column_squares = squares()
+            return np.sqrt(column_squares[:fields] + column_squares[fields:])
+
+    return coeffs, rhs, misfit
 
 
 def fit_wave_coefficients(samples: FieldSampleSet, truncation: int) -> WaveCoefficientSet:

@@ -4,8 +4,11 @@ Points run one after another in spacing order. Work that does not depend on
 the spacing is done once per sweep or less: every sweep of one pattern kind
 and node count shares one element pattern and one cached quadrature, so the
 impedance ring weights are computed once for all of them; the pattern toward
-(theta0, phi0) is evaluated once per sweep; and the spherical-wave fits of a
-synthetic source reuse the cached order factors of each truncation order.
+(theta0, phi0) is evaluated once per sweep; and a synthetic source does the
+work that depends only on its truncation order N once per (pattern, N), in
+small caches keyed by the grid's values: the fit grid, its checks and the
+element field on it, the grid's equiangular layout and the order factors of
+its fit.
 The impedance matrices of all spacings are built as one stack (one
 phase table, one batched matmul, one stacked cond and QR), a block of
 spacings at a time so that memory does not grow with the number of steps,

@@ -23,9 +23,10 @@ from superdir import (
     isolated_fields_synthetic,
     synthesize_coupled_fields,
 )
+from superdir import coupling, swe
 from superdir.arraymodel import WAVE_NUMBER
 from superdir.coupling import fixture_testbed
-from superdir.swe import default_fit_grid
+from superdir.swe import default_fit_grid, solve_wave_coefficients
 
 HERTZIAN = ElementPattern.hertzian_dipole()
 
@@ -355,6 +356,73 @@ def test_synthetic_fields_reject_non_finite_phi():
     grid[3, 1] = np.nan
     with pytest.raises(DomainError, match="phi must be finite"):
         isolated_fields_synthetic(ArrayGeometry(2, 0.2), HERTZIAN, grid)
+
+
+@pytest.mark.parametrize("layout", ["equiangular", "random"])
+def test_coefficient_set_is_the_solve_without_its_misfit_bit_for_bit(layout):
+    truncation = 5
+    directions = default_fit_grid(truncation)
+    if layout == "random":
+        rng = np.random.default_rng(31)
+        directions = np.column_stack(
+            (np.arccos(rng.uniform(-1.0, 1.0, 150)), rng.uniform(0.0, 2.0 * np.pi, 150))
+        )
+    isolated = isolated_fields_synthetic(ArrayGeometry(3, 0.2), HERTZIAN, directions)
+    fields = isolated + synthesize_coupled_fields(isolated, coupling_fixture(3, 0.3, 1.1))
+    values = np.stack([f.values for f in fields], axis=1)
+    expected = solve_wave_coefficients(directions, values, truncation)[0]
+    assert build_coefficient_set(fields, truncation).tobytes() == expected.tobytes()
+
+
+def _clear_grid_caches():
+    for cache in (coupling._element_field, swe._checked_grid, swe._grid_rows, swe._order_factors):
+        cache.cache_clear()
+
+
+def _nan_phi(grid):
+    grid[3, 1] = np.nan
+
+
+def _repeated_direction(grid):
+    grid[1] = grid[0]
+
+
+def _shifted_ring(grid):
+    grid[:, 1] += 0.1  # every phi off 2 pi l / C
+
+
+@pytest.mark.parametrize("change", [_nan_phi, _repeated_direction, _shifted_ring])
+@pytest.mark.parametrize("stage", ["synthesize", "fit"])
+def test_a_changed_caller_grid_is_checked_and_classified_again(stage, change, monkeypatch):
+    truncation = 3
+    geometry = ArrayGeometry(2, 0.2)
+    fields = isolated_fields_synthetic(geometry, HERTZIAN, default_fit_grid(truncation))
+    values = np.stack([f.values for f in fields], axis=1)
+    dense = []
+    real_basis = swe._real_basis_matrix
+    monkeypatch.setattr(swe, "_real_basis_matrix", lambda *a: dense.append(1) or real_basis(*a))
+
+    def outcome(grid):
+        """The DomainError text, or the output bytes and the number of dense basis builds."""
+        dense.clear()
+        try:
+            if stage == "synthesize":
+                fields = isolated_fields_synthetic(geometry, HERTZIAN, grid)
+                out = [fields[0].directions.tobytes()] + [f.values.tobytes() for f in fields]
+            else:
+                out = [a.tobytes() for a in solve_wave_coefficients(grid, values, truncation)]
+        except DomainError as exc:
+            return str(exc)
+        return out, len(dense)
+
+    grid = default_fit_grid(truncation)
+    before = outcome(grid)  # fills every cache from the caller's array
+    change(grid)
+    warm = outcome(grid)
+    assert warm != before
+    assert outcome(grid) == warm  # a failing check raises again
+    _clear_grid_caches()
+    assert outcome(grid.copy()) == warm
 
 
 def test_default_truncation_follows_the_enclosing_sphere():

@@ -18,8 +18,9 @@ from superdir import (
     sweep_rows_to_csv,
     write_coupling,
 )
-from superdir import radiation, sweep
+from superdir import coupling, radiation, swe, sweep
 from superdir.arraymodel import ArrayGeometry, ElementPattern
+from superdir.coupling import default_truncation
 from superdir.errors import NUMERICAL_FAILURES
 from superdir.radiation import SphereQuadrature
 from superdir.sweep import evaluate_point
@@ -86,6 +87,45 @@ def test_identical_sweeps_share_their_quadrature_and_pattern():
     info = radiation._ring_weights.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     assert warm == [cold] * 3
+
+
+def test_identical_synthetic_sweeps_evaluate_each_element_field_once(monkeypatch):
+    spec = _small_sweep(antennas=4, pattern_kind="half-wave-dipole", spacing_start=0.05,
+                        spacing_stop=0.5, spacing_steps=10,
+                        coupling_source="synthetic:gamma=0.3,beta=1.1")
+    orders = sorted({default_truncation(ArrayGeometry(4, s)) for s in spec.spacings})
+    caches = (swe._fit_grid, coupling._element_field, swe._checked_grid, swe._grid_rows,
+              swe._order_factors)
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+
+    clear()
+    cold = sweep_rows_to_csv(run_sweep(spec))
+    clear()
+    directions = []
+    polarized = ElementPattern.polarized
+
+    def counted(self, theta, phi):
+        directions.append(np.size(theta))
+        return polarized(self, theta, phi)
+
+    monkeypatch.setattr(ElementPattern, "polarized", counted)
+    warm = [sweep_rows_to_csv(run_sweep(spec)) for _ in range(3)]
+    assert len(orders) < spec.spacing_steps  # the orders repeat within one sweep
+    assert directions == [swe.default_fit_grid(n).shape[0] for n in orders]
+    assert warm == [cold] * 3
+    pattern = sweep._shared_pattern(spec.pattern_kind)
+    for n in orders:
+        grid = swe._fit_grid(n)
+        assert swe.default_fit_grid(n).flags.writeable and not grid.flags.writeable
+        key = grid.shape, grid.tobytes()
+        rows = swe._grid_rows(*key, n)[0]
+        cached = [*coupling._element_field(pattern, *key), swe._checked_grid(*key), rows,
+                  *swe._order_factors(n, rows.tobytes())]
+        assert not any(array.flags.writeable for array in cached)
+    assert [cache.cache_info().misses for cache in caches] == [len(orders)] * len(caches)
 
 
 def test_spacing_grid_is_evenly_spaced():
