@@ -8,6 +8,7 @@ radians everywhere inside the library).
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -174,8 +175,9 @@ class ElementPattern:
         return cls(kind="sampled", theta_grid=theta_grid, phi_grid=phi_grid, samples=samples)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def from_kind(cls, kind: str) -> "ElementPattern":
-        """Build one of the analytic patterns from its CLI name."""
+        """The one shared analytic pattern of a CLI name, so caches keyed on it serve every caller."""
         if kind not in ANALYTIC_KINDS:
             raise DomainError(f"unknown analytic pattern kind {kind!r}")
         return cls(kind=kind)

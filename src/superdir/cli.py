@@ -28,7 +28,7 @@ from .errors import (
     SuperdirError,
 )
 from .radiation import DEFAULT_NODES, SphereQuadrature, impedance_matrix
-from .swe import fit_wave_coefficients, truncation_degree
+from .swe import _equiangular_rows, fit_wave_coefficients, truncation_degree
 from .sweep import SweepSpec, evaluate_point, parse_coupling_source, run_sweep
 
 SPEED_OF_LIGHT = 299792458.0
@@ -279,8 +279,9 @@ def _cmd_coupling_synth(args) -> int:
         fileio.write_field_samples(os.path.join(args.output_dir, f"isolated_{i}.csv"), iso)
         fileio.write_field_samples(os.path.join(args.output_dir, f"active_{i}.csv"), act)
     fileio.write_coupling(os.path.join(args.output_dir, "coupling_true.csv"), fixture)
+    theta_rows, columns = _equiangular_rows(isolated[0].directions)
     print(
-        f"wrote {2 * len(isolated) + 1} files to {args.output_dir} (grid {2 * trunc + 2}x{4 * trunc + 4}, N = {trunc})",
+        f"wrote {2 * len(isolated) + 1} files to {args.output_dir} (grid {theta_rows.size}x{columns}, N = {trunc})",
         file=sys.stderr,
     )
     return 0

@@ -27,9 +27,9 @@ from .arraymodel import WAVE_NUMBER, ArrayGeometry, ElementPattern, _check_integ
 from .errors import DegenerateGeometryError, DimensionError, DomainError
 from .swe import (
     FieldSampleSet,
-    _checked_grid,
     _fit,
     _fit_grid,
+    _grid,
     _require_distinct,
     _truncation_order,
     truncation_degree,
@@ -121,7 +121,7 @@ def _element_field(pattern, shape, data):
     The grid has passed the direction and distinctness checks; a grid that
     fails them raises on every call.
     """
-    grid = _require_distinct(_checked_grid(shape, data))
+    grid = _require_distinct(_grid(shape, data)[0])
     theta = grid[:, 0]
     element = np.stack(pattern.polarized(theta, grid[:, 1]), axis=1).reshape(-1, 1)
     slope = 1j * WAVE_NUMBER * np.cos(theta)

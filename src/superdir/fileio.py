@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .coupling import CouplingMatrix
-from .errors import DataError
+from .errors import DataError, DomainError
 from .swe import FieldSampleSet, WaveCoefficientSet, index_list, mode_count
 
 FIELD_HEADER = ["theta_deg", "phi_deg", "re_etheta", "im_etheta", "re_ephi", "im_ephi"]
@@ -156,7 +156,16 @@ def read_field_samples(source) -> FieldSampleSet:
         table = _field_rows(reader)
     # columns re_etheta, im_etheta, re_ephi, im_ephi are the interleaved values
     values = np.ascontiguousarray(table[:, 2:]).view(complex).reshape(-1)
-    return FieldSampleSet(directions=np.radians(table[:, :2]), values=values)
+    directions = np.radians(table[:, :2])
+    try:
+        return FieldSampleSet(directions=directions, values=values)
+    except DomainError:  # a repeated direction: name its line and the line it repeats
+        first = {}
+        line_numbers = (line_no for line_no, _ in _rows(csv.reader(lines[1:]), 6, "field"))
+        for line_no, key in zip(line_numbers, (directions[:, 0] + 1j * directions[:, 1]).tolist()):
+            if first.setdefault(key, line_no) != line_no:
+                raise DataError(f"line {line_no}: direction repeats line {first[key]}") from None
+        raise
 
 
 # ---- coupling matrices ---------------------------------------------------

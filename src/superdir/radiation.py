@@ -68,10 +68,15 @@ class SphereQuadrature:
     def gauss_legendre(
         cls, theta_count: int = DEFAULT_NODES[0], phi_count: int = DEFAULT_NODES[1]
     ) -> "SphereQuadrature":
-        """Standard quadrature with ``theta_count`` polar nodes."""
-        x, w = np.polynomial.legendre.leggauss(_check_integer(theta_count, "theta_count", 1))
-        theta = np.arccos(x[::-1])
-        return cls(theta=theta, theta_weights=w[::-1], phi_count=phi_count)
+        """Standard quadrature with ``theta_count`` polar nodes; one shared instance per count pair."""
+        theta_count = _check_integer(theta_count, "theta_count", 1)
+        return cls._gauss_legendre(theta_count, _check_integer(phi_count, "phi_count", 1))
+
+    @classmethod
+    @functools.lru_cache(maxsize=8)
+    def _gauss_legendre(cls, theta_count, phi_count):
+        x, w = np.polynomial.legendre.leggauss(theta_count)
+        return cls(theta=np.arccos(x[::-1]), theta_weights=w[::-1], phi_count=phi_count)
 
     @property
     def phi(self) -> np.ndarray:
@@ -91,20 +96,15 @@ class SphereQuadrature:
     def double_density(self) -> "SphereQuadrature":
         """Same scheme at twice the node count on both axes.
 
-        Shared through the quadrature cache, so repeated certified builds
-        reuse one refined rule and its cached ring weights.
+        The shared rule of those counts, so repeated certified builds reuse
+        one refined rule and its cached ring weights.
         """
-        return _cached_gauss_legendre(2 * self.theta.size, 2 * self.phi_count)
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_gauss_legendre(theta_count, phi_count):
-    return SphereQuadrature.gauss_legendre(theta_count, phi_count)
+        return SphereQuadrature.gauss_legendre(2 * self.theta.size, 2 * self.phi_count)
 
 
 def default_quadrature() -> SphereQuadrature:
-    """The Gauss-Legendre/uniform product rule of DEFAULT_NODES."""
-    return _cached_gauss_legendre(*DEFAULT_NODES)
+    """The shared Gauss-Legendre/uniform product rule of DEFAULT_NODES."""
+    return SphereQuadrature.gauss_legendre(*DEFAULT_NODES)
 
 
 @dataclass(frozen=True, eq=False)

@@ -428,17 +428,17 @@ def _fit_grid(truncation):
 _GRID_TOLERANCE = 1e-12
 
 
-def _equiangular_rows(directions, truncation):
+def _equiangular_rows(directions):
     """(theta of each row, C) for a theta-major equiangular grid, else None.
 
     Qualifying grids run C consecutive directions per theta row at
-    phi_l = 2 pi l / C with C >= 2N+1, so a DFT over phi puts every order
-    |m| <= N in its own bin.
+    phi_l = 2 pi l / C. A fit of order N splits by order when C >= 2N+1,
+    since a DFT over phi then puts every order |m| <= N in its own bin.
     """
     theta, phi = directions[:, 0], directions[:, 1]
-    new_row = np.flatnonzero(np.abs(theta - theta[0]) > _GRID_TOLERANCE)
+    new_row = np.flatnonzero(np.abs(theta - theta[:1]) > _GRID_TOLERANCE)
     columns = int(new_row[0]) if new_row.size else theta.size
-    if columns < 2 * truncation + 1 or theta.size % columns:
+    if not columns or theta.size % columns:
         return None
     theta = theta.reshape(-1, columns)
     ring = 2.0 * np.pi * np.arange(columns) / columns
@@ -450,19 +450,15 @@ def _equiangular_rows(directions, truncation):
 
 
 @functools.lru_cache(maxsize=8)
-def _checked_grid(shape, data):
-    """The directions of these float64 bytes, of this shape, after _check_directions; read-only.
+def _grid(shape, data):
+    """(directions, _equiangular_rows layout) of these float64 bytes of this shape; read-only.
 
-    Keyed by value, so an array that a caller changes after one call is
-    checked again on the next, and a failing check raises on every call.
+    The directions have passed _check_directions. Keyed by value, so an
+    array that a caller changes after one call is checked and classified
+    again on the next, and a failing check raises on every call.
     """
-    return _check_directions(np.frombuffer(data).reshape(shape))
-
-
-@functools.lru_cache(maxsize=8)
-def _grid_rows(shape, data, truncation):
-    """_equiangular_rows at order N of the checked directions of these bytes; read-only."""
-    return _equiangular_rows(_checked_grid(shape, data), truncation)
+    directions = _check_directions(np.frombuffer(data).reshape(shape))
+    return directions, _equiangular_rows(directions)
 
 
 def _require_rank(rank, modes):
@@ -631,12 +627,11 @@ def _fit(directions, values, truncation):
 
     ``misfit`` forms the absolute misfit of each column when called, so a
     caller that needs only the coefficients never computes it. The checked
-    directions and the equiangular-row detection are cached by the bytes of
-    the directions, so repeated fits on one grid check and classify it once.
+    directions and their equiangular layout are cached by the bytes of the
+    directions (_grid), so repeated fits on one grid check and classify it once.
     """
     dirs = np.asarray(directions, dtype=float)
-    key = dirs.shape, dirs.tobytes()
-    dirs = _checked_grid(*key)
+    dirs, layout = _grid(dirs.shape, dirs.tobytes())
     rhs = _check_values(values, dirs.shape[0])
     trunc = _truncation_order(truncation)
     modes = mode_count(trunc)
@@ -646,9 +641,8 @@ def _fit(directions, values, truncation):
             f"{dirs.shape[0]} directions give {n_rows} equations for {modes} modes"
         )
     rcond = max(n_rows, modes) * np.finfo(float).eps
-    grid = _grid_rows(*key, trunc)
-    if grid is not None:
-        coeffs, misfit = _fit_by_order(*grid, rhs, trunc, rcond)
+    if layout is not None and layout[1] >= 2 * trunc + 1:
+        coeffs, misfit = _fit_by_order(*layout, rhs, trunc, rcond)
     else:
         # one real problem: R [x_re, x_im] = [Re V, Im V], then q = U x
         basis = _real_basis_matrix(dirs, trunc)

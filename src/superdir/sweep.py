@@ -1,14 +1,14 @@
 """Spacing sweeps over the beamforming pipeline.
 
-Points run one after another in spacing order. Work that does not depend on
-the spacing is done once per sweep or less: every sweep of one pattern kind
-and node count shares one element pattern and one cached quadrature, so the
-impedance ring weights are computed once for all of them; the pattern toward
-(theta0, phi0) is evaluated once per sweep; and a synthetic source does the
-work that depends only on its truncation order N once per (pattern, N), in
-small caches keyed by the grid's values: the fit grid, its checks and the
-element field on it, the grid's equiangular layout and the order factors of
-its fit.
+Points run one after another in spacing order. Each input that does not
+depend on the spacing has one owner, which builds it once and shares it:
+ElementPattern.from_kind (one pattern per kind) and
+SphereQuadrature.gauss_legendre (one rule per pair of node counts), whose
+identity keys the impedance ring weights; the coupling source, parsed once
+into a function of the geometry; and, per truncation order N of a synthetic
+source, the fit grid, its checks and equiangular layout (swe._grid), the
+element field on it and the order factors of its fit, each cached by the
+grid's values. The pattern toward (theta0, phi0) is evaluated once per sweep.
 The impedance matrices of all spacings are built as one stack (one
 phase table, one batched matmul, one stacked cond and QR), a block of
 spacings at a time so that memory does not grow with the number of steps,
@@ -25,7 +25,6 @@ would do (the truncation override applies there).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -53,7 +52,6 @@ from .errors import NUMERICAL_FAILURES, DataError, DomainError
 from .radiation import (
     DEFAULT_NODES,
     SphereQuadrature,
-    _cached_gauss_legendre,
     _check_residue,
     _impedance_blocks,
     impedance_matrix,
@@ -93,12 +91,13 @@ class SweepSpec:
             )
         if not self.spacing_start > 0.0:
             raise DomainError("spacing_start must be positive")
-        if self.spacing_steps > 1 and not np.isfinite(self.spacing_start):
-            raise DomainError("spacing_start must be finite")
-        if self.spacing_stop < self.spacing_start:
-            raise DomainError("spacing_stop must be >= spacing_start")
-        if self.spacing_steps > 1 and not np.isfinite(self.spacing_stop):
-            raise DomainError("spacing_stop must be finite")
+        if self.spacing_steps > 1:  # one step never uses the stop; its geometry checks the start
+            if not np.isfinite(self.spacing_start):
+                raise DomainError("spacing_start must be finite")
+            if self.spacing_stop < self.spacing_start:
+                raise DomainError("spacing_stop must be >= spacing_start")
+            if not np.isfinite(self.spacing_stop):
+                raise DomainError("spacing_stop must be finite")
         if not 0.0 <= self.theta0_deg <= 180.0:
             raise DomainError("theta0_deg must lie in [0, 180]")
         if not np.isfinite(self.phi0_deg):
@@ -124,16 +123,6 @@ class SweepRow:
     gain: float
     condition_number: float
     note: str = ""
-
-
-@functools.lru_cache(maxsize=None)
-def _shared_pattern(kind: str) -> ElementPattern:
-    """The one immutable pattern of an analytic kind.
-
-    radiation._ring_weights caches by identity, so every sweep of one kind
-    and quadrature hits it.
-    """
-    return ElementPattern.from_kind(kind)
 
 
 def _parse_fixture_params(body: str) -> tuple:
@@ -164,9 +153,18 @@ def parse_coupling_source(
     geometry and a pattern. ``file:`` sources are read by
     ``fileio.read_coupling``.
     """
+    return _coupling_source(text, element_count, pattern, truncation)(geometry)
+
+
+def _coupling_source(text, element_count, pattern, truncation):
+    """The coupling matrix of a source string as a function of the geometry.
+
+    The string is parsed, and an ``identity`` or ``file:`` matrix built,
+    once; a ``synthetic:`` source estimates the matrix of each geometry.
+    """
     if text == "identity":
-        return CouplingMatrix.identity(element_count)
-    if text.startswith("file:"):
+        matrix = CouplingMatrix.identity(element_count)
+    elif text.startswith("file:"):
         path = text[len("file:"):]
         if not path:
             raise DomainError("file: coupling source needs a path")
@@ -176,13 +174,18 @@ def parse_coupling_source(
                 f"coupling file is {matrix.size}x{matrix.size} "
                 f"but the array has {element_count} elements"
             )
-        return matrix
-    if text.startswith("synthetic:"):
+    elif text.startswith("synthetic:"):
         gamma, beta = _parse_fixture_params(text[len("synthetic:"):])
-        if geometry is None or pattern is None:
-            raise DomainError("synthetic coupling source needs a geometry and a pattern")
-        return estimate_fixture_coupling(geometry, pattern, gamma, beta, truncation=truncation)
-    raise DomainError(f"unknown coupling source {text!r}")
+
+        def estimate(geometry):
+            if geometry is None or pattern is None:
+                raise DomainError("synthetic coupling source needs a geometry and a pattern")
+            return estimate_fixture_coupling(geometry, pattern, gamma, beta, truncation=truncation)
+
+        return estimate
+    else:
+        raise DomainError(f"unknown coupling source {text!r}")
+    return lambda geometry: matrix
 
 
 def evaluate_point(
@@ -242,28 +245,18 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
     NaNs and the sweep continues. ``threads`` is accepted for compatibility
     and ignored: points run serially.
     """
-    pattern = _shared_pattern(spec.pattern_kind)
-    quadrature = _cached_gauss_legendre(spec.quadrature_theta, spec.quadrature_phi)
-    fixed_matrix = None
-    if not spec.coupling_source.startswith("synthetic:"):
-        fixed_matrix = parse_coupling_source(spec.coupling_source, spec.antennas)
+    pattern = ElementPattern.from_kind(spec.pattern_kind)
+    quadrature = SphereQuadrature.gauss_legendre(spec.quadrature_theta, spec.quadrature_phi)
     spacings = spec.spacings
     geometries = [ArrayGeometry(spec.antennas, float(s)) for s in spacings]
+    coupling_of = _coupling_source(spec.coupling_source, spec.antennas, pattern, spec.truncation)
     theta0 = math.radians(spec.theta0_deg)
     pattern_value = pattern.evaluate(theta0, math.radians(spec.phi0_deg))
     steerings = [_steering(pattern_value, theta0, g.z_positions) for g in geometries]
 
     def one_point(geometry: ArrayGeometry, steering, impedance, residue, solved) -> SweepRow:
         try:
-            matrix = fixed_matrix
-            if matrix is None:
-                matrix = parse_coupling_source(
-                    spec.coupling_source,
-                    spec.antennas,
-                    geometry=geometry,
-                    pattern=pattern,
-                    truncation=spec.truncation,
-                )
+            matrix = coupling_of(geometry)
             _check_residue(residue)
             return _beamform_point(impedance, steering, matrix, spec.efficiency, solved,
                                    geometry.spacing)[0]

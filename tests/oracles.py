@@ -10,6 +10,9 @@ agreement between the two is meaningful:
   elements steered along the array axis.
 - isotropic_endfire_dmax solves e^H Z^-1 e for isotropic elements steered
   endfire on the sinc closed form of Z, with more digits than cond(Z) costs.
+- dipole_lag is the closed-form impedance lag of two x-directed dipoles
+  spaced along z, and dipole_endfire_dmax solves e^H Z^-1 e on it as
+  isotropic_endfire_dmax does.
 - legendre_tables evaluates normalized associated Legendre functions and
   their theta-derivatives from exact rational polynomial coefficients with
   50-digit arithmetic (slow but trustworthy to far below 1e-12).
@@ -68,14 +71,57 @@ def isotropic_endfire_dmax(count, spacing, digits=None):
     d = 0.001..0.5 that is at least 19 digits more than it takes to agree
     with a 400-digit solve to 1e-15. ``digits`` sets the precision instead.
     """
+    return _toeplitz_endfire_dmax(mpmath.sinc, count, spacing, digits)
+
+
+def dipole_lag(kind, u):
+    """Impedance z(u) of two x-directed dipoles u = kd apart along z, at the current precision.
+
+    The Hertzian ring average of |k|^2 is 2/3 + P_2(cos theta)/3, so
+    z = (2/3) j_0(u) - (1/3) j_2(u). The half-wave lag is the induced-EMF
+    mutual resistance of side-by-side half-wave dipoles over 4:
+    [Cin(u1) + Cin(u2) - 2 Cin(u)] / 4 with u1,2 = k(sqrt(d^2 + 1/4) +- 1/2),
+    and Cin(2 pi) / 4 at u = 0 (Balanis, Antenna Theory, ch. 8).
+    """
+    u = mpmath.mpf(u)
+    if kind == "hertzian-dipole":
+        if u == 0:
+            return mpmath.mpf(2) / 3
+        bessel = [mpmath.sqrt(mpmath.pi / (2 * u)) * mpmath.besselj(n + 0.5, u) for n in (0, 2)]
+        return (2 * bessel[0] - bessel[1]) / 3
+    if kind != "half-wave-dipole":
+        raise ValueError(f"no closed-form lag for {kind!r}")
+
+    def cin(x):
+        return mpmath.euler + mpmath.log(x) - mpmath.ci(x)
+
+    if u == 0:
+        return cin(2 * mpmath.pi) / 4
+    root = mpmath.sqrt(u**2 + mpmath.pi**2)  # k sqrt(d^2 + 1/4), with k/2 = pi
+    return (cin(root + mpmath.pi) + cin(root - mpmath.pi) - 2 * cin(u)) / 4
+
+
+def dipole_endfire_dmax(kind, count, spacing, digits=None):
+    """Optimum e^H Z^-1 e of ``count`` x-directed dipoles of ``kind`` steered endfire.
+
+    Z is the Toeplitz matrix of dipole_lag and e_m = exp(j 2 pi d m), since
+    both dipole patterns are 1 along the array axis; the precision follows
+    isotropic_endfire_dmax.
+    """
+    return _toeplitz_endfire_dmax(lambda u: dipole_lag(kind, u), count, spacing, digits)
+
+
+def _toeplitz_endfire_dmax(lag, count, spacing, digits):
+    """e^H Z^-1 e for z_mn = lag(2 pi d |m - n|) and e_m = exp(j 2 pi d m)."""
     if digits is None:
         digits = 25 + 2 * count * (1 + max(0.0, -math.log10(2 * math.pi * spacing)))
     with mpmath.workdps(math.ceil(digits)):
         kd = 2 * mpmath.pi * mpmath.mpf(spacing)
+        lags = [lag(kd * k) for k in range(count)]
         z = mpmath.matrix(count, count)
         for m in range(count):
             for n in range(count):
-                z[m, n] = mpmath.sinc(kd * abs(m - n))
+                z[m, n] = lags[abs(m - n)]
         x = mpmath.lu_solve(z, mpmath.matrix([mpmath.expj(-kd * m) for m in range(count)]))
         return float(mpmath.re(mpmath.fsum(mpmath.expj(kd * m) * x[m] for m in range(count))))
 

@@ -238,6 +238,11 @@ def test_from_kind_is_the_named_constructor_bit_for_bit(kind, constructor):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("kind", arraymodel.ANALYTIC_KINDS)
+def test_from_kind_shares_one_pattern_per_kind(kind):
+    assert ElementPattern.from_kind(kind) is ElementPattern.from_kind(kind)
+
+
 def test_from_kind_rejects_the_sampled_kind():
     with pytest.raises(DomainError) as info:
         ElementPattern.from_kind("sampled")

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import brute_force_directivity, endfire_pair_dmax, isotropic_endfire_dmax
+from oracles import (
+    brute_force_directivity,
+    dipole_endfire_dmax,
+    endfire_pair_dmax,
+    isotropic_endfire_dmax,
+)
 from superdir import (
     ArrayGeometry,
     CouplingMatrix,
@@ -141,6 +146,49 @@ def test_ill_conditioned_optimum_matches_the_50_digit_oracle(m, spacing):
         dmax = optimal_beamforming(z, e).directivity
     tolerance = 1e-4 if (m, spacing) == (12, 0.05) else 1e-6
     assert dmax == pytest.approx(isotropic_endfire_dmax(m, spacing), rel=tolerance)
+
+
+# Relative error of today's endfire optimum against dipole_endfire_dmax at
+# d = 0.05, 0.1, 0.2 and 0.3 wavelengths. Each case is held to 10x its figure,
+# and never below 1e-13. The loose cases (over 1e-10) lose digits to cond(Z)
+# in the phase-table factor of Z; the spherical-mode factor of Z on the
+# ROADMAP is to tighten them to 1e-10.
+DIPOLE_ENDFIRE_ERRORS = {
+    ("hertzian-dipole", 4): (2.8e-14, 1.4e-14, 9.0e-15, 7.9e-15),
+    ("hertzian-dipole", 8): (2.9e-10, 6.0e-12, 9.6e-14, 2.7e-14),
+    ("hertzian-dipole", 12): (2.3e-6, 4.3e-10, 9.4e-13, 1.8e-14),
+    ("half-wave-dipole", 4): (3.7e-14, 1.0e-14, 8.6e-15, 8.4e-15),
+    ("half-wave-dipole", 8): (1.7e-10, 1.7e-12, 9.9e-14, 2.7e-14),
+    ("half-wave-dipole", 12): (7.1e-6, 3.2e-9, 5.2e-12, 4.0e-14),
+}
+DIPOLE_ENDFIRE_CASES = [
+    pytest.param(kind, m, spacing, max(10.0 * error, 1e-13),
+                 id=f"{kind}-{m}-{spacing}" + ("-loose" if 10.0 * error > 1e-10 else ""))
+    for (kind, m), errors in DIPOLE_ENDFIRE_ERRORS.items()
+    for spacing, error in zip((0.05, 0.1, 0.2, 0.3), errors)
+]
+
+
+@pytest.mark.parametrize("kind, m, spacing, tolerance", DIPOLE_ENDFIRE_CASES)
+def test_dipole_endfire_optimum_matches_the_closed_form_oracle(kind, m, spacing, tolerance):
+    pattern = ElementPattern.from_kind(kind)
+    geometry, z, e = _setup(m, spacing, theta0=0.0, pattern=pattern)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        dmax = optimal_beamforming(z, e).directivity
+    assert dmax == pytest.approx(dipole_endfire_dmax(kind, m, spacing), rel=tolerance)
+
+
+def test_half_wave_dipole_oracle_agrees_with_the_benchmark_oracle():
+    # perfbench/oracle.py reaches 68.06987796659328518... by a Taylor series of the same lags
+    assert dipole_endfire_dmax("half-wave-dipole", 8, 0.1) == pytest.approx(68.06987796659328, rel=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["hertzian-dipole", "half-wave-dipole"])
+def test_dipole_oracle_carries_enough_digits_at_twelve_elements(kind):
+    assert dipole_endfire_dmax(kind, 12, 0.05) == pytest.approx(
+        dipole_endfire_dmax(kind, 12, 0.05, digits=150), rel=1e-14
+    )
 
 
 @pytest.mark.parametrize("spacing", [0.01, 0.02, 0.05])

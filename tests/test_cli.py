@@ -67,6 +67,21 @@ def test_malformed_field_file_exits_two(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["swe", "fit", "--input", "f.csv"],
+    ["coupling", "estimate", "--isolated", "f.csv", "--active", "f.csv"],
+])
+def test_a_repeated_direction_exits_two_naming_both_lines(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    field = reconstruct_field(WaveCoefficientSet(np.ones(6, dtype=complex), 1, 0.0), default_fit_grid(1))
+    write_field_samples("f.csv", field)
+    lines = Path("f.csv").read_text().splitlines(keepends=True)
+    Path("f.csv").write_text("".join(lines + [lines[3]]))  # line 4 again, as the last line
+    assert main([*command, "--truncation", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", f"superdir: data error: line {len(lines) + 1}: direction repeats line 4\n")
+
+
 def test_coupling_size_mismatch_exits_two(tmp_path, capsys):
     path = tmp_path / "c3.csv"
     write_coupling(path, coupling_fixture(3, 0.2, 0.5))
@@ -290,6 +305,16 @@ def test_sweep_config_file_drives_the_run(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg)]) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert float(row[1]) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_a_one_step_config_needs_no_stop(tmp_path, capsys):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("antennas = 4\nspacing_start = 0.6\nspacing_steps = 1\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr()
+    assert main(["sweep", "--antennas", "4", "--spacing", "0.6"]) == 0
+    assert capsys.readouterr() == from_config
+    assert from_config.err == "" and len(from_config.out.splitlines()) == 2
 
 
 def test_sweep_flags_override_the_config(tmp_path, capsys):

@@ -375,7 +375,7 @@ def test_coefficient_set_is_the_solve_without_its_misfit_bit_for_bit(layout):
 
 
 def _clear_grid_caches():
-    for cache in (coupling._element_field, swe._checked_grid, swe._grid_rows, swe._order_factors):
+    for cache in (coupling._element_field, swe._grid, swe._order_factors):
         cache.cache_clear()
 
 

@@ -116,7 +116,7 @@ def test_band_limited_field_fits_back_to_its_coefficients_on_both_paths(case):
     # the basis is orthonormal on the sphere and the grid oversamples it, so cond(K) is small
     tolerance = 1e3 * EPS * max(1.0, np.linalg.norm(q))
     for directions, samples, equiangular in ((grid, values, True), (grid[order], shuffled, False)):
-        assert (swe._equiangular_rows(directions, truncation) is not None) == equiangular
+        assert (swe._equiangular_rows(directions) is not None) == equiangular
         coefficients, residuals = swe.solve_wave_coefficients(directions, samples, truncation)
         assert np.linalg.norm(coefficients[:, 0] - q) <= tolerance
         assert residuals[0] <= tolerance
@@ -143,7 +143,7 @@ def test_a_field_sampled_at_phi_plus_phi0_fits_to_its_coefficients_times_exp_j_m
     expected = q * np.exp(1j * phi0 * swe._mode_table(truncation)[:, 1])
     tolerance = 1e3 * EPS * max(1.0, np.linalg.norm(q))
     for directions, equiangular in ((default_fit_grid(truncation), True), (scattered, False)):
-        assert (swe._equiangular_rows(directions, truncation) is not None) == equiangular
+        assert (swe._equiangular_rows(directions) is not None) == equiangular
         rotated = reconstruct_field(field, directions + [0.0, phi0])
         fit = fit_wave_coefficients(FieldSampleSet(directions, rotated.values), truncation)
         assert np.linalg.norm(fit.coefficients - expected) <= tolerance
@@ -184,7 +184,7 @@ def test_stacked_order_fit_matches_the_dense_real_fit(case):
     # fails if a coefficient is gathered from the neighbouring order's row, or if
     # order -m misses its (-1)^m or TM sign
     truncation, grid, values = case
-    assert swe._equiangular_rows(grid, truncation) is not None
+    assert swe._equiangular_rows(grid) is not None
     coefficients, residuals = swe.solve_wave_coefficients(grid, values, truncation)
     basis = swe._real_basis_matrix(grid, truncation)
     fields = values.shape[1]
@@ -210,7 +210,7 @@ def _rank_of_each_order(grid, truncation):
 def test_wide_order_blocks_report_the_rank_of_each_order(case):
     # fails if the orders -m are left out of the count, or order 0 is counted twice
     truncation, grid, values = case
-    assert swe._equiangular_rows(grid, truncation) is not None
+    assert swe._equiangular_rows(grid) is not None
     with pytest.raises(ConditioningError) as info:
         swe.solve_wave_coefficients(grid, values, truncation)
     assert info.value.effective_rank == _rank_of_each_order(grid, truncation) < mode_count(truncation)

@@ -214,6 +214,17 @@ def test_field_rejections_fall_back_to_the_exact_row_error(body, message, monkey
     assert seen == [None]
 
 
+@pytest.mark.parametrize("route", ["vectorized", "row"])
+def test_field_repeated_direction_names_its_line_and_the_line_it_repeats(route, monkeypatch):
+    if route == "row":
+        _row_route(monkeypatch)
+    # 10 and 1e1 degrees are one radian value; line 3 is blank
+    body = "10,0,1,0,0,0\n\n20,0,1,0,0,0\n1e1,0,0,1,0,0\n20,0,0,0,1,0\n"
+    with pytest.raises(DataError) as info:
+        read_field_samples(io.StringIO(FIELD_HEADER_LINE + body))
+    assert str(info.value) == "line 5: direction repeats line 2"
+
+
 # ---- coupling matrices --------------------------------------------------------
 
 

@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import brute_force_directivity
+import mpmath
+
+from oracles import brute_force_directivity, dipole_lag
 from superdir import radiation
 from superdir import (
     AccuracyError,
@@ -60,6 +62,23 @@ def test_default_quadrature_is_cached_and_sized():
     quad = default_quadrature()
     assert quad is default_quadrature()
     assert quad.theta.size == 64 and quad.phi_count == 128
+
+
+def test_gauss_legendre_shares_one_rule_per_pair_of_counts():
+    default = default_quadrature()
+    assert SphereQuadrature.gauss_legendre(64, 128) is default
+    assert SphereQuadrature.gauss_legendre() is default
+    assert SphereQuadrature.gauss_legendre(theta_count=64.0, phi_count=np.int64(128)) is default
+    assert SphereQuadrature.gauss_legendre(64, 64) is not default
+    assert default.double_density() is SphereQuadrature.gauss_legendre(128, 256)
+
+
+def test_every_caller_of_a_kind_shares_its_ring_weights():
+    radiation._ring_weights.cache_clear()
+    for spacing in (0.1, 0.2):
+        impedance_matrix(ArrayGeometry(3, spacing), ElementPattern.from_kind("half-wave-dipole"))
+    info = radiation._ring_weights.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_cached_inputs_hold_private_read_only_arrays():
@@ -301,3 +320,13 @@ def test_nonpositive_radiated_power_is_flagged():
     broken = type(z)(values=-z.values, condition_number=z.condition_number)
     with pytest.raises(ConditioningError):
         directivity(geometry, pattern, broken, [1.0, 0.5], 0.5, 0.5)
+
+
+@pytest.mark.parametrize("kind", ["hertzian-dipole", "half-wave-dipole"])
+@pytest.mark.parametrize("spacing", [0.01, 0.05, 0.1, 0.3, 0.7])
+def test_dipole_impedance_lags_match_their_closed_forms(kind, spacing):
+    # x-directed dipoles side by side along z; the worst deviation today is 8.9e-16
+    z = impedance_matrix(ArrayGeometry(2, spacing), ElementPattern.from_kind(kind)).values
+    lag = float(dipole_lag(kind, 2 * mpmath.pi * mpmath.mpf(spacing)))
+    diagonal = float(dipole_lag(kind, 0))
+    np.testing.assert_allclose(z, [[diagonal, lag], [lag, diagonal]], rtol=0.0, atol=1e-14)

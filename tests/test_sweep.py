@@ -79,7 +79,7 @@ def test_integral_float_counts_become_integers():
 
 def test_identical_sweeps_share_their_quadrature_and_pattern():
     spec = _small_sweep(antennas=8, pattern_kind="half-wave-dipole", theta0_deg=30.0)
-    radiation._cached_gauss_legendre.cache_clear()
+    SphereQuadrature._gauss_legendre.cache_clear()
     radiation._ring_weights.cache_clear()
     cold = sweep_rows_to_csv(run_sweep(spec))
     radiation._ring_weights.cache_clear()
@@ -94,8 +94,7 @@ def test_identical_synthetic_sweeps_evaluate_each_element_field_once(monkeypatch
                         spacing_stop=0.5, spacing_steps=10,
                         coupling_source="synthetic:gamma=0.3,beta=1.1")
     orders = sorted({default_truncation(ArrayGeometry(4, s)) for s in spec.spacings})
-    caches = (swe._fit_grid, coupling._element_field, swe._checked_grid, swe._grid_rows,
-              swe._order_factors)
+    caches = (swe._fit_grid, coupling._element_field, swe._grid, swe._order_factors)
 
     def clear():
         for cache in caches:
@@ -116,16 +115,38 @@ def test_identical_synthetic_sweeps_evaluate_each_element_field_once(monkeypatch
     assert len(orders) < spec.spacing_steps  # the orders repeat within one sweep
     assert directions == [swe.default_fit_grid(n).shape[0] for n in orders]
     assert warm == [cold] * 3
-    pattern = sweep._shared_pattern(spec.pattern_kind)
+    pattern = ElementPattern.from_kind(spec.pattern_kind)
     for n in orders:
         grid = swe._fit_grid(n)
         assert swe.default_fit_grid(n).flags.writeable and not grid.flags.writeable
         key = grid.shape, grid.tobytes()
-        rows = swe._grid_rows(*key, n)[0]
-        cached = [*coupling._element_field(pattern, *key), swe._checked_grid(*key), rows,
+        directions, (rows, _) = swe._grid(*key)
+        cached = [*coupling._element_field(pattern, *key), directions, rows,
                   *swe._order_factors(n, rows.tobytes())]
         assert not any(array.flags.writeable for array in cached)
     assert [cache.cache_info().misses for cache in caches] == [len(orders)] * len(caches)
+
+
+def test_a_synthetic_sweep_parses_its_coupling_text_once(monkeypatch):
+    parsed, estimated = [], []
+    parse, estimate = sweep._parse_fixture_params, sweep.estimate_fixture_coupling
+    monkeypatch.setattr(sweep, "_parse_fixture_params", lambda body: parsed.append(body) or parse(body))
+    monkeypatch.setattr(sweep, "estimate_fixture_coupling",
+                        lambda *args, **kwargs: estimated.append(args[0]) or estimate(*args, **kwargs))
+    spec = _small_sweep(antennas=4, pattern_kind="half-wave-dipole", spacing_start=0.05,
+                        spacing_stop=0.5, spacing_steps=10,
+                        coupling_source="synthetic:gamma=0.3,beta=1.1")
+    rows = run_sweep(spec)
+    assert [row.note for row in rows] == [""] * 10
+    assert parsed == ["gamma=0.3,beta=1.1"]
+    assert [geometry.spacing for geometry in estimated] == [row.spacing for row in rows]
+
+
+def test_a_one_step_sweep_needs_no_stop():
+    # the default stop, 0.5, lies below the start; a single step never uses it
+    spec = SweepSpec(antennas=4, spacing_start=0.6, spacing_steps=1)
+    np.testing.assert_array_equal(spec.spacings, [0.6])
+    assert [row.spacing for row in run_sweep(spec)] == [0.6]
 
 
 def test_spacing_grid_is_evenly_spaced():
