@@ -2,10 +2,9 @@
 
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
-
-import mpmath
 
 from oracles import brute_force_directivity, dipole_lag
 from superdir import radiation
