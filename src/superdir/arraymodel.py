@@ -139,6 +139,8 @@ class ElementPattern:
         tg.flags.writeable = pg.flags.writeable = vals.flags.writeable = False
         if tg.ndim != 1 or pg.ndim != 1 or vals.shape != (tg.size, pg.size):
             raise DimensionError("samples must have shape (len(theta_grid), len(phi_grid))")
+        if not np.isfinite(vals).all():
+            raise DomainError("sampled pattern values must be finite")
         if tg.size < 2 or pg.size < 2:
             raise DomainError("sampled grid needs at least two nodes per axis")
         if np.any(np.diff(tg) <= 0) or np.any(np.diff(pg) <= 0):
@@ -156,18 +158,25 @@ class ElementPattern:
 
     @classmethod
     def isotropic(cls) -> "ElementPattern":
-        """Unit pattern in every direction."""
-        return cls(kind="isotropic")
+        """Unit pattern in every direction: the shared from_kind pattern."""
+        return cls.from_kind("isotropic")
 
     @classmethod
     def hertzian_dipole(cls, axis=(1.0, 0.0, 0.0)) -> "ElementPattern":
-        """Infinitesimal dipole, pattern sin(psi) about its axis."""
-        return cls(kind="hertzian-dipole", axis=np.asarray(axis, dtype=float))
+        """Infinitesimal dipole, pattern sin(psi) about its axis; along x, the shared from_kind one."""
+        return cls._dipole("hertzian-dipole", axis)
 
     @classmethod
     def half_wave_dipole(cls, axis=(1.0, 0.0, 0.0)) -> "ElementPattern":
-        """Half-wavelength dipole, pattern cos(pi/2 cos(psi)) / sin(psi)."""
-        return cls(kind="half-wave-dipole", axis=np.asarray(axis, dtype=float))
+        """Half-wavelength dipole, pattern cos(pi/2 cos(psi)) / sin(psi); along x, the shared one."""
+        return cls._dipole("half-wave-dipole", axis)
+
+    @classmethod
+    def _dipole(cls, kind, axis):
+        axis = np.asarray(axis, dtype=float)
+        if np.array_equal(axis, (1.0, 0.0, 0.0)):  # from_kind's axis
+            return cls.from_kind(kind)
+        return cls(kind=kind, axis=axis)
 
     @classmethod
     def sampled(cls, theta_grid, phi_grid, samples) -> "ElementPattern":

@@ -93,7 +93,7 @@ def _solve_steering(
     Solves through the triangular factor R^T R = Z + r_loss I, so y = R^-T e*
     loses digits like sqrt(cond(Z)) rather than cond(Z), and D = ||y||^2.
     ``solved`` is this system's (x, y, D, pivot) when a stacked _substitute
-    call has already solved it, as run_sweep does for each block of spacings;
+    call has already solved it, as a sweep does for each block of spacings;
     otherwise it is solved here as a stack of one. Either way the checks
     run in the same order, so the same point raises and warns the same.
     """

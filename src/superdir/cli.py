@@ -29,7 +29,7 @@ from .errors import (
 )
 from .radiation import DEFAULT_NODES, SphereQuadrature, impedance_matrix
 from .swe import _equiangular_rows, fit_wave_coefficients, truncation_degree
-from .sweep import SweepSpec, evaluate_point, parse_coupling_source, run_sweep
+from .sweep import SweepSpec, evaluate_point, run_sweep
 
 SPEED_OF_LIGHT = 299792458.0
 DEFAULT_FREQUENCY = 845e6  # Hz; used only to convert meter-denominated inputs
@@ -94,13 +94,25 @@ def _add_pattern_flag(parser):
     )
 
 
-def _add_quadrature_flags(parser):
-    parser.add_argument("--quadrature-theta", type=int, default=DEFAULT_NODES[0], help="polar quadrature nodes")
-    parser.add_argument("--quadrature-phi", type=int, default=DEFAULT_NODES[1], help="azimuth quadrature nodes")
+def _add_point_flags(parser):
+    """The flags of one sweep point, shared by beamform and sweep.
 
-
-def _quadrature(args) -> SphereQuadrature:
-    return SphereQuadrature.gauss_legendre(args.quadrature_theta, args.quadrature_phi)
+    Each stores into its SweepSpec field with no default of its own, so a
+    flag left out keeps the config file's value or SweepSpec's default.
+    """
+    parser.add_argument("--pattern", dest="pattern_kind", choices=ANALYTIC_KINDS,
+                        help=f"common element pattern (default {SweepSpec.pattern_kind})")
+    parser.add_argument("--theta0", dest="theta0_deg", metavar="THETA0", type=float,
+                        help="steering polar angle in degrees")
+    parser.add_argument("--phi0", dest="phi0_deg", metavar="PHI0", type=float,
+                        help="steering azimuth in degrees")
+    parser.add_argument("--efficiency", type=float, help="per-element efficiency in (0, 1]")
+    parser.add_argument("--coupling", dest="coupling_source", metavar="COUPLING",
+                        help="identity | file:<path> | synthetic:gamma=<g>,beta=<b>")
+    parser.add_argument("--quadrature-theta", type=int, help="polar quadrature nodes")
+    parser.add_argument("--quadrature-phi", type=int, help="azimuth quadrature nodes")
+    parser.add_argument("--truncation", type=int,
+                        help="expansion order for synthetic coupling estimation (0 = automatic)")
 
 
 # ---- impedance -------------------------------------------------------------
@@ -109,9 +121,8 @@ def _quadrature(args) -> SphereQuadrature:
 def _cmd_impedance(args) -> int:
     geometry = ArrayGeometry(args.antennas, _resolve_spacing(args))
     pattern = ElementPattern.from_kind(args.pattern)
-    matrix = impedance_matrix(
-        geometry, pattern, _quadrature(args), loading=args.loading, certified=args.certified
-    )
+    quadrature = SphereQuadrature.gauss_legendre(args.quadrature_theta, args.quadrature_phi)
+    matrix = impedance_matrix(geometry, pattern, quadrature, loading=args.loading, certified=args.certified)
     fileio.write_impedance(args.output or sys.stdout, matrix)
     print(f"cond(Z) = {_fmt4(matrix.condition_number)}", file=sys.stderr)
     return 0
@@ -121,32 +132,20 @@ def _cmd_impedance(args) -> int:
 
 
 def _cmd_beamform(args) -> int:
-    geometry = ArrayGeometry(args.antennas, _resolve_spacing(args))
-    pattern = ElementPattern.from_kind(args.pattern)
-    if not math.isfinite(args.phi0):  # the message sweep gives for its --phi0
-        raise DomainError("phi0_deg must be finite")
-    coupling = parse_coupling_source(
-        args.coupling,
-        geometry.element_count,
-        geometry=geometry,
-        pattern=pattern,
-        truncation=args.truncation,
-    )
-    row, excitation = evaluate_point(
-        geometry, pattern, _quadrature(args), coupling, math.radians(args.theta0),
-        math.radians(args.phi0), args.efficiency, loading=args.loading,
-    )
+    spacing = _resolve_spacing(args)
+    spec = _spec_from_config_and_flags(args, {"spacing_start": spacing, "spacing_steps": 1})
+    row, excitation = evaluate_point(spec, loading=args.loading)
 
-    print(f"antennas        {geometry.element_count}")
-    print(f"spacing         {_fmt4(geometry.spacing)} wavelengths")
-    print(f"pattern         {args.pattern}")
-    print(f"direction       theta0={_fmt4(args.theta0)} deg  phi0={_fmt4(args.phi0)} deg")
+    print(f"antennas        {spec.antennas}")
+    print(f"spacing         {_fmt4(row.spacing)} wavelengths")
+    print(f"pattern         {spec.pattern_kind}")
+    print(f"direction       theta0={_fmt4(spec.theta0_deg)} deg  phi0={_fmt4(spec.phi0_deg)} deg")
     print(f"cond(Z)         {_fmt4(row.condition_number)}")
     print(f"D_max           {_fmt4(row.dmax)}  ({_dbi(row.dmax)} dBi)")
     print(f"D_traditional   {_fmt4(row.d_traditional)}  ({_dbi(row.d_traditional)} dBi)")
     print(f"D_coupled       {_fmt4(row.d_coupled)}  ({_dbi(row.d_coupled)} dBi)")
-    print(f"gain            {_fmt4(row.gain)}  ({_dbi(row.gain)} dBi)  at efficiency {_fmt4(args.efficiency)}")
-    print(f"r_loss          {_fmt4(loss_resistance(args.efficiency))}")
+    print(f"gain            {_fmt4(row.gain)}  ({_dbi(row.gain)} dBi)  at efficiency {_fmt4(spec.efficiency)}")
+    print(f"r_loss          {_fmt4(loss_resistance(spec.efficiency))}")
     print("port excitation (unit radiated power):")
     for i, b in enumerate(excitation, start=1):
         mag = abs(b)
@@ -185,33 +184,38 @@ _RENAMED = {"pattern_kind": "pattern", "coupling_source": "coupling"}
 _CONFIG_FIELDS = {_RENAMED.get(name, name): name for name in _SPEC_TYPES}
 
 
-def _spec_from_config_and_flags(args) -> SweepSpec:
+def _read_config(path) -> dict:
+    """The SweepSpec fields of a key = value config file."""
     values = {}
-    if args.config:
-        raw = fileio.read_config(args.config)
-        unknown = set(raw) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        for key, text in raw.items():
-            name = _CONFIG_FIELDS[key]
-            try:
-                values[name] = _SPEC_TYPES[name](text)
-            except ValueError as exc:
-                raise UsageError(f"config key {key!r}: bad value {text!r}") from exc
+    raw = fileio.read_config(path)
+    unknown = set(raw) - set(_CONFIG_FIELDS)
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, text in raw.items():
+        name = _CONFIG_FIELDS[key]
+        try:
+            values[name] = _SPEC_TYPES[name](text)
+        except ValueError as exc:
+            raise UsageError(f"config key {key!r}: bad value {text!r}") from exc
+    return values
+
+
+def _spec_from_config_and_flags(args, values) -> SweepSpec:
+    """The SweepSpec of ``values`` (a config file's, the spacing flags'), under the point flags given."""
     for name in _SPEC_TYPES:
         if getattr(args, name, None) is not None:
             values[name] = getattr(args, name)
-    if args.spacing is not None:
-        start, stop, steps = _parse_spacing_range(args.spacing)
-        values.update(spacing_start=start, spacing_stop=stop, spacing_steps=steps)
     if "antennas" not in values:
         raise UsageError("antennas must be given via --antennas or the config file")
     return SweepSpec(**values)
 
 
 def _cmd_sweep(args) -> int:
-    spec = _spec_from_config_and_flags(args)
-    rows = run_sweep(spec)
+    values = _read_config(args.config) if args.config else {}
+    if args.spacing is not None:
+        start, stop, steps = _parse_spacing_range(args.spacing)
+        values.update(spacing_start=start, spacing_stop=stop, spacing_steps=steps)
+    rows = run_sweep(_spec_from_config_and_flags(args, values))
     fileio.write_sweep_rows(args.output or sys.stdout, rows)
     flagged = [row for row in rows if row.note]
     for row in flagged:
@@ -297,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_imp = sub.add_parser("impedance", help="emit the normalized impedance matrix")
     _add_geometry_flags(p_imp)
     _add_pattern_flag(p_imp)
-    _add_quadrature_flags(p_imp)
+    p_imp.add_argument("--quadrature-theta", type=int, default=DEFAULT_NODES[0], help="polar quadrature nodes")
+    p_imp.add_argument("--quadrature-phi", type=int, default=DEFAULT_NODES[1], help="azimuth quadrature nodes")
     p_imp.add_argument("--loading", type=float, default=0.0, help="diagonal loading delta >= 0")
     p_imp.add_argument("--certified", action="store_true", help="refinement-check the quadrature")
     p_imp.add_argument("--output", help="CSV destination (default stdout)")
@@ -305,18 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bf = sub.add_parser("beamform", help="optimal excitation for one configuration")
     _add_geometry_flags(p_bf)
-    _add_pattern_flag(p_bf)
-    _add_quadrature_flags(p_bf)
-    p_bf.add_argument("--theta0", type=float, default=0.0, help="steering polar angle in degrees")
-    p_bf.add_argument("--phi0", type=float, default=0.0, help="steering azimuth in degrees")
-    p_bf.add_argument("--coupling", default="identity", help="identity | file:<path> | synthetic:gamma=<g>,beta=<b>")
-    p_bf.add_argument(
-        "--truncation",
-        type=int,
-        default=0,
-        help="expansion order for synthetic coupling estimation (0 = automatic)",
-    )
-    p_bf.add_argument("--efficiency", type=float, default=1.0, help="per-element efficiency in (0, 1]")
+    _add_point_flags(p_bf)
     p_bf.add_argument("--loading", type=float, default=0.0, help="diagonal loading delta >= 0")
     p_bf.add_argument("--output", help="write the excitation as CSV")
     p_bf.set_defaults(handler=_cmd_beamform)
@@ -324,22 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="sweep spacing and emit CSV")
     p_sw.add_argument("--config", help="key = value configuration file")
     p_sw.add_argument("--antennas", type=int)
-    p_sw.add_argument("--pattern", dest="pattern_kind", choices=ANALYTIC_KINDS)
     p_sw.add_argument("--spacing", help="start:stop:steps in wavelengths")
-    p_sw.add_argument("--theta0", dest="theta0_deg", metavar="THETA0", type=float,
-                      help="steering polar angle in degrees")
-    p_sw.add_argument("--phi0", dest="phi0_deg", metavar="PHI0", type=float,
-                      help="steering azimuth in degrees")
-    p_sw.add_argument("--efficiency", type=float)
-    p_sw.add_argument("--coupling", dest="coupling_source", metavar="COUPLING",
-                      help="identity | file:<path> | synthetic:gamma=<g>,beta=<b>")
-    p_sw.add_argument("--quadrature-theta", type=int)
-    p_sw.add_argument("--quadrature-phi", type=int)
-    p_sw.add_argument(
-        "--truncation",
-        type=int,
-        help="expansion order for synthetic coupling estimation (0 = automatic)",
-    )
+    _add_point_flags(p_sw)
     p_sw.add_argument("--output", help="CSV destination (default stdout)")
     p_sw.set_defaults(handler=_cmd_sweep)
 

@@ -177,6 +177,10 @@ def _impedance_stack(spacings, element_count, pattern, quadrature, loading=0.0):
     B = sqrt(g/4pi) [Re P; Im P], whose Gram matrix B^T B is Z since
     Re(P^T g P*) = Re^T g Re + Im^T g Im.
     """
+    if not loading >= 0.0:
+        raise DomainError("diagonal loading must be >= 0")
+    if not np.isfinite(loading):
+        raise DomainError("diagonal loading must be finite")
     g = _ring_weights(pattern, quadrature)
     nodes = quadrature.theta.size
     z = spacings[:, None] * np.arange(element_count, dtype=float)
@@ -209,10 +213,10 @@ def _check_residue(residue):
         )
 
 
-def _impedance_blocks(spacings, element_count, pattern, quadrature):
+def _impedance_blocks(spacings, element_count, pattern, quadrature, loading=0.0):
     """(ImpedanceMatrix list, factor stack, imaginary residues) per block of spacings.
 
-    Builds one unloaded stack per block of spacings whose phase table fits
+    Builds one stack, with ``loading`` I, per block of spacings whose phase table fits
     in _STACK_BYTES, so memory does not grow with the number of spacings.
     The blocks come in spacing order; the factor stack (S, M, M) holds the
     factors of the block's matrices, for one stacked steering solve.
@@ -220,7 +224,7 @@ def _impedance_blocks(spacings, element_count, pattern, quadrature):
     block = max(1, _STACK_BYTES // (16 * quadrature.theta.size * element_count))
     for start in range(0, len(spacings), block):
         matrices, _, factors, residues = _impedance_stack(
-            spacings[start:start + block], element_count, pattern, quadrature
+            spacings[start:start + block], element_count, pattern, quadrature, loading
         )
         yield matrices, factors, residues
 
@@ -254,10 +258,6 @@ def impedance_matrix(
         Real symmetric matrix with its condition number attached, factored as
         the QR ``r`` of [B; sqrt(loading) I] for B the weighted phases.
     """
-    if not loading >= 0.0:
-        raise DomainError("diagonal loading must be >= 0")
-    if not np.isfinite(loading):
-        raise DomainError("diagonal loading must be finite")
     quadrature = quadrature or default_quadrature()
     spacing = np.array([geometry.spacing])
     count = geometry.element_count

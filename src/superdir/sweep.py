@@ -14,7 +14,9 @@ phase table, one batched matmul, one stacked cond and QR), a block of
 spacings at a time so that memory does not grow with the number of steps,
 and the steering systems of a block are solved together by one stacked
 substitution on its factors. Each point then checks its own solve and
-derives both the optimum and the compensated excitation from it.
+derives both the optimum and the compensated excitation from it. run_sweep
+and evaluate_point (one spacing alone, as ``superdir beamform`` runs it)
+share this one pipeline.
 
 Coupling sources: ``identity`` and ``file:<path>`` supply the matrix
 directly; ``synthetic:gamma=<g>,beta=<b>`` synthesizes the parametric
@@ -25,6 +27,8 @@ would do (the truncation override applies there).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +41,6 @@ from .arraymodel import (
     ElementPattern,
     _check_integer,
     _steering,
-    steering_vector,
 )
 from .beamform import (
     _compensated,
@@ -54,7 +57,6 @@ from .radiation import (
     SphereQuadrature,
     _check_residue,
     _impedance_blocks,
-    impedance_matrix,
 )
 
 
@@ -89,9 +91,9 @@ class SweepSpec:
             raise DomainError(
                 f"sweep pattern must be one of the analytic kinds, not {self.pattern_kind!r}"
             )
-        if not self.spacing_start > 0.0:
-            raise DomainError("spacing_start must be positive")
-        if self.spacing_steps > 1:  # one step never uses the stop; its geometry checks the start
+        if self.spacing_steps > 1:  # one step uses only its start, which its geometry checks
+            if not self.spacing_start > 0.0:
+                raise DomainError("spacing_start must be positive")
             if not np.isfinite(self.spacing_start):
                 raise DomainError("spacing_start must be finite")
             if self.spacing_stop < self.spacing_start:
@@ -188,44 +190,31 @@ def _coupling_source(text, element_count, pattern, truncation):
     return lambda geometry: matrix
 
 
-def evaluate_point(
-    geometry: ArrayGeometry,
-    pattern: ElementPattern,
-    quadrature: SphereQuadrature,
-    coupling: CouplingMatrix,
-    theta0: float,
-    phi0: float,
-    efficiency: float,
-    loading: float = 0.0,
-) -> tuple:
-    """One beamforming point: its unflagged SweepRow and the compensated excitation.
+def evaluate_point(spec: SweepSpec, loading: float = 0.0) -> tuple:
+    """The unflagged SweepRow and excitation of ``spec`` at its start spacing alone.
 
-    Builds Z (with diagonal ``loading``) and the steering vector toward
-    (theta0, phi0) in radians, then the optimum, the directivity the
-    uncoupled-optimal excitation achieves under ``coupling``, the
-    coupling-compensated excitation and its gain at ``efficiency``. Errors
-    propagate; run_sweep turns the numerical ones into flagged rows.
+    Runs the sweep pipeline with ``loading`` I added to Z. Errors propagate;
+    run_sweep turns the numerical ones into flagged rows.
     """
-    impedance = impedance_matrix(geometry, pattern, quadrature, loading=loading)
-    steering = steering_vector(geometry, pattern, theta0, phi0)
-    return _beamform_point(impedance, steering, coupling, efficiency, None, geometry.spacing)
+    _, point = next(_points(dataclasses.replace(spec, spacing_steps=1), loading))
+    return point()
 
 
-def _beamform_point(impedance, steering, coupling, efficiency, solved, spacing) -> tuple:
-    """The beamforming of one point from one steering solve: its row and excitation.
+def _beamform_point(coupling_of, geometry, steering, impedance, residue, solved, efficiency) -> tuple:
+    """One point's row and compensated excitation, from its (x, y, D, pivot) of the stacked solve.
 
-    The unnormalized x = Z^-1 e* gives both the optimum and the compensated
-    excitation. evaluate_point and run_sweep share this step; ``solved`` is
-    the point's (x, y, D, pivot) from run_sweep's stacked solve, or None to
-    solve it here.
+    Resolves the coupling of the geometry, checks the imaginary residue of Z,
+    then takes the optimum and the compensated excitation from x = Z^-1 e*.
     """
+    coupling = coupling_of(geometry)
+    _check_residue(residue)
     x, dmax = _solve_steering(impedance, steering, solved=solved)
     uncoupled = _optimum(impedance, x, dmax)
     d_trad = coupled_directivity(impedance, coupling, steering, uncoupled.excitation)
     compensated = _compensated(impedance, coupling, steering, x)
     g = gain(impedance, coupling, steering, compensated.excitation, efficiency)
     row = SweepRow(
-        spacing=spacing,
+        spacing=geometry.spacing,
         dmax=uncoupled.directivity,
         d_traditional=d_trad,
         d_coupled=compensated.directivity,
@@ -235,15 +224,12 @@ def _beamform_point(impedance, steering, coupling, efficiency, solved, spacing) 
     return row, compensated.excitation
 
 
-def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
-    """Evaluate every sweep point, in spacing order.
+def _points(spec: SweepSpec, loading: float = 0.0):
+    """(spacing, call of its _beamform_point step) for each point of ``spec``, in spacing order.
 
-    Builds the impedance matrices of all spacings as one stack, evaluates
-    the pattern toward (theta0, phi0) once and solves the steering systems
-    of each block of spacings in one _substitute call; each point is then
-    one _beamform_point step. Singular or untrustworthy points are flagged with
-    NaNs and the sweep continues. ``threads`` is accepted for compatibility
-    and ignored: points run serially.
+    The Z of a block of spacings (with ``loading`` I) are one stack and
+    their steering systems one _substitute call. The consumer makes each
+    call, which raises what goes wrong at its point, before the next.
     """
     pattern = ElementPattern.from_kind(spec.pattern_kind)
     quadrature = SphereQuadrature.gauss_legendre(spec.quadrature_theta, spec.quadrature_phi)
@@ -253,30 +239,38 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
     theta0 = math.radians(spec.theta0_deg)
     pattern_value = pattern.evaluate(theta0, math.radians(spec.phi0_deg))
     steerings = [_steering(pattern_value, theta0, g.z_positions) for g in geometries]
+    done = 0
+    for matrices, factors, residues in _impedance_blocks(spacings, spec.antennas, pattern,
+                                                         quadrature, loading):
+        block = slice(done, done + len(matrices))
+        done = block.stop
+        rhs = np.array([steering.values for steering in steerings[block]]).conj()
+        solves = zip(*_substitute(factors, rhs))
+        for point in zip(geometries[block], steerings[block], matrices, residues, solves):
+            yield point[0].spacing, functools.partial(_beamform_point, coupling_of, *point,
+                                                      spec.efficiency)
 
-    def one_point(geometry: ArrayGeometry, steering, impedance, residue, solved) -> SweepRow:
+
+def run_sweep(spec: SweepSpec, threads: int | None = None) -> list:
+    """Evaluate every sweep point, in spacing order.
+
+    Singular or untrustworthy points are flagged with NaNs and a note, and
+    the sweep continues. ``threads`` is accepted for compatibility and
+    ignored: points run serially.
+    """
+    rows = []
+    for spacing, point in _points(spec):
         try:
-            matrix = coupling_of(geometry)
-            _check_residue(residue)
-            return _beamform_point(impedance, steering, matrix, spec.efficiency, solved,
-                                   geometry.spacing)[0]
+            rows.append(point()[0])
         except NUMERICAL_FAILURES as exc:
             cond = getattr(exc, "condition_number", None)
-            return SweepRow(
-                spacing=geometry.spacing,
+            rows.append(SweepRow(
+                spacing=spacing,
                 dmax=float("nan"),
                 d_traditional=float("nan"),
                 d_coupled=float("nan"),
                 gain=float("nan"),
                 condition_number=float("nan") if cond is None else float(cond),
                 note=str(exc),
-            )
-
-    rows = []
-    blocks = _impedance_blocks(spacings, spec.antennas, pattern, quadrature)
-    for matrices, factors, residues in blocks:
-        block = slice(len(rows), len(rows) + len(matrices))
-        rhs = np.array([steering.values for steering in steerings[block]]).conj()
-        solves = zip(*_substitute(factors, rhs))
-        rows += map(one_point, geometries[block], steerings[block], matrices, residues, solves)
+            ))
     return rows

@@ -12,7 +12,8 @@ agreement between the two is meaningful:
   endfire on the sinc closed form of Z, with more digits than cond(Z) costs.
 - dipole_lag is the closed-form impedance lag of two x-directed dipoles
   spaced along z, and dipole_endfire_dmax solves e^H Z^-1 e on it as
-  isotropic_endfire_dmax does.
+  isotropic_endfire_dmax does. Both also steer toward any theta0 at
+  phi0 = pi/2, where every one of these patterns is 1.
 - legendre_tables evaluates normalized associated Legendre functions and
   their theta-derivatives from exact rational polynomial coefficients with
   50-digit arithmetic (slow but trustworthy to far below 1e-12).
@@ -61,17 +62,17 @@ def endfire_pair_dmax(spacing):
     return 2.0 * (1.0 - s * math.cos(kd)) / (1.0 - s * s)
 
 
-def isotropic_endfire_dmax(count, spacing, digits=None):
-    """Optimum e^H Z^-1 e of ``count`` isotropic elements steered endfire.
+def isotropic_endfire_dmax(count, spacing, digits=None, theta0=0.0):
+    """Optimum e^H Z^-1 e of ``count`` isotropic elements steered endfire, or toward theta0.
 
     Z is the sinc Toeplitz matrix z_mn = sinc(2 pi d |m - n|) and
-    e_m = exp(j 2 pi d m). cond(Z) grows roughly like (2 pi d)^(-2M), far
+    e_m = exp(j 2 pi d m cos(theta0)). cond(Z) grows roughly like (2 pi d)^(-2M), far
     beyond double precision, so by default the solve carries
     25 + 2M (1 + log10 max(1, 1/(2 pi d))) digits. For M = 8..24 and
     d = 0.001..0.5 that is at least 19 digits more than it takes to agree
     with a 400-digit solve to 1e-15. ``digits`` sets the precision instead.
     """
-    return _toeplitz_endfire_dmax(mpmath.sinc, count, spacing, digits)
+    return _toeplitz_endfire_dmax(mpmath.sinc, count, spacing, digits, theta0)
 
 
 def dipole_lag(kind, u):
@@ -101,18 +102,18 @@ def dipole_lag(kind, u):
     return (cin(root + mpmath.pi) + cin(root - mpmath.pi) - 2 * cin(u)) / 4
 
 
-def dipole_endfire_dmax(kind, count, spacing, digits=None):
-    """Optimum e^H Z^-1 e of ``count`` x-directed dipoles of ``kind`` steered endfire.
+def dipole_endfire_dmax(kind, count, spacing, digits=None, theta0=0.0):
+    """Optimum e^H Z^-1 e of ``count`` x-directed dipoles of ``kind`` steered endfire, or toward theta0.
 
-    Z is the Toeplitz matrix of dipole_lag and e_m = exp(j 2 pi d m), since
-    both dipole patterns are 1 along the array axis; the precision follows
-    isotropic_endfire_dmax.
+    Z is the Toeplitz matrix of dipole_lag and e_m = exp(j 2 pi d m cos(theta0)),
+    since both dipole patterns are 1 along the array axis and, at phi0 = pi/2,
+    in every direction theta0; the precision follows isotropic_endfire_dmax.
     """
-    return _toeplitz_endfire_dmax(lambda u: dipole_lag(kind, u), count, spacing, digits)
+    return _toeplitz_endfire_dmax(lambda u: dipole_lag(kind, u), count, spacing, digits, theta0)
 
 
-def _toeplitz_endfire_dmax(lag, count, spacing, digits):
-    """e^H Z^-1 e for z_mn = lag(2 pi d |m - n|) and e_m = exp(j 2 pi d m)."""
+def _toeplitz_endfire_dmax(lag, count, spacing, digits, theta0=0.0):
+    """e^H Z^-1 e for z_mn = lag(2 pi d |m - n|) and e_m = exp(j 2 pi d m cos(theta0))."""
     if digits is None:
         digits = 25 + 2 * count * (1 + max(0.0, -math.log10(2 * math.pi * spacing)))
     with mpmath.workdps(math.ceil(digits)):
@@ -122,8 +123,9 @@ def _toeplitz_endfire_dmax(lag, count, spacing, digits):
         for m in range(count):
             for n in range(count):
                 z[m, n] = lags[abs(m - n)]
-        x = mpmath.lu_solve(z, mpmath.matrix([mpmath.expj(-kd * m) for m in range(count)]))
-        return float(mpmath.re(mpmath.fsum(mpmath.expj(kd * m) * x[m] for m in range(count))))
+        phase = kd * mpmath.cos(mpmath.mpf(theta0))
+        x = mpmath.lu_solve(z, mpmath.matrix([mpmath.expj(-phase * m) for m in range(count)]))
+        return float(mpmath.re(mpmath.fsum(mpmath.expj(phase * m) * x[m] for m in range(count))))
 
 
 @lru_cache(maxsize=None)

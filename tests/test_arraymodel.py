@@ -200,6 +200,16 @@ def test_sampled_pattern_grid_validation():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_sampled_pattern_values_must_be_finite(bad):
+    samples = np.ones((5, 8), dtype=complex)
+    samples[2, 3] = bad
+    with pytest.raises(DomainError, match="^sampled pattern values must be finite$"):
+        ElementPattern.sampled(
+            np.linspace(0.0, np.pi, 5), np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False), samples
+        )
+
+
 def test_polarized_components_carry_the_pattern_magnitude():
     for pattern in (
         ElementPattern.isotropic(),
@@ -216,11 +226,14 @@ def test_polarized_components_carry_the_pattern_magnitude():
         )
 
 
-@pytest.mark.parametrize("kind, constructor", [
+NAMED_CONSTRUCTORS = [
     ("isotropic", ElementPattern.isotropic),
     ("hertzian-dipole", ElementPattern.hertzian_dipole),
     ("half-wave-dipole", ElementPattern.half_wave_dipole),
-])
+]
+
+
+@pytest.mark.parametrize("kind, constructor", NAMED_CONSTRUCTORS)
 def test_from_kind_is_the_named_constructor_bit_for_bit(kind, constructor):
     built, named = ElementPattern.from_kind(kind), constructor()
     assert built.kind == named.kind == kind
@@ -241,6 +254,19 @@ def test_from_kind_is_the_named_constructor_bit_for_bit(kind, constructor):
 @pytest.mark.parametrize("kind", arraymodel.ANALYTIC_KINDS)
 def test_from_kind_shares_one_pattern_per_kind(kind):
     assert ElementPattern.from_kind(kind) is ElementPattern.from_kind(kind)
+
+
+@pytest.mark.parametrize("kind, constructor", NAMED_CONSTRUCTORS)
+def test_the_named_constructors_return_the_shared_pattern_of_their_kind(kind, constructor):
+    assert constructor() is ElementPattern.from_kind(kind)
+
+
+def test_a_dipole_along_another_axis_is_a_pattern_of_its_own():
+    shared = ElementPattern.from_kind("half-wave-dipole")
+    assert ElementPattern.half_wave_dipole(np.array([1, 0, 0])) is shared
+    tilted = ElementPattern.half_wave_dipole((0.0, 2.0, 0.0))
+    assert tilted is not shared
+    assert tilted.axis.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_from_kind_rejects_the_sampled_kind():

@@ -179,6 +179,43 @@ def test_dipole_endfire_optimum_matches_the_closed_form_oracle(kind, m, spacing,
     assert dmax == pytest.approx(dipole_endfire_dmax(kind, m, spacing), rel=tolerance)
 
 
+# Relative error of today's optimum toward theta0 = pi/3, phi0 = pi/2 against the
+# same oracles at d = 0.05, 0.1, 0.2 and 0.3 wavelengths, held as the endfire
+# cases are. Off endfire the steering phase carries cos(theta0), and at
+# phi0 = pi/2 both x-directed dipole patterns are 1, so the lags still hold.
+STEERED_ERRORS = {
+    ("isotropic", 4): (3.5e-14, 9.3e-15, 1.1e-15, 6.9e-16),
+    ("isotropic", 8): (3.5e-10, 3.0e-12, 1.7e-14, 1.6e-15),
+    ("isotropic", 12): (4.1e-6, 3.6e-10, 2.9e-13, 2.3e-14),
+    ("hertzian-dipole", 4): (2.0e-14, 1.7e-16, 7.0e-16, 8.7e-16),
+    ("hertzian-dipole", 8): (1.0e-10, 3.3e-12, 3.3e-14, 2.7e-15),
+    ("hertzian-dipole", 12): (3.1e-6, 8.9e-10, 1.6e-13, 1.3e-14),
+    ("half-wave-dipole", 4): (6.9e-15, 7.8e-15, 1.6e-16, 4.7e-16),
+    ("half-wave-dipole", 8): (2.3e-10, 3.5e-12, 2.1e-14, 1.1e-15),
+    ("half-wave-dipole", 12): (1.7e-7, 7.2e-11, 1.2e-14, 1.3e-14),
+}
+STEERED_CASES = [
+    pytest.param(kind, m, spacing, max(10.0 * error, 1e-13),
+                 id=f"{kind}-{m}-{spacing}" + ("-loose" if 10.0 * error > 1e-10 else ""))
+    for (kind, m), errors in STEERED_ERRORS.items()
+    for spacing, error in zip((0.05, 0.1, 0.2, 0.3), errors)
+]
+
+
+@pytest.mark.parametrize("kind, m, spacing, tolerance", STEERED_CASES)
+def test_steered_optimum_matches_the_closed_form_oracle(kind, m, spacing, tolerance):
+    pattern = ElementPattern.from_kind(kind)
+    geometry, z, e = _setup(m, spacing, theta0=np.pi / 3, phi0=np.pi / 2, pattern=pattern)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        dmax = optimal_beamforming(z, e).directivity
+    if kind == "isotropic":
+        expected = isotropic_endfire_dmax(m, spacing, theta0=np.pi / 3)
+    else:
+        expected = dipole_endfire_dmax(kind, m, spacing, theta0=np.pi / 3)
+    assert dmax == pytest.approx(expected, rel=tolerance)
+
+
 def test_half_wave_dipole_oracle_agrees_with_the_benchmark_oracle():
     # perfbench/oracle.py reaches 68.06987796659328518... by a Taylor series of the same lags
     assert dipole_endfire_dmax("half-wave-dipole", 8, 0.1) == pytest.approx(68.06987796659328, rel=1e-15)

@@ -1,5 +1,7 @@
 """Command line behavior: exit codes, output text, files, determinism."""
 
+import argparse
+import dataclasses
 import io
 import os
 import re
@@ -12,6 +14,7 @@ import pytest
 
 from superdir import (
     FieldSampleSet,
+    SweepSpec,
     WaveCoefficientSet,
     coupling_fixture,
     read_coefficients,
@@ -20,7 +23,7 @@ from superdir import (
     write_coupling,
     write_field_samples,
 )
-from superdir import cli
+from superdir import cli, radiation
 from superdir.cli import main
 from superdir.errors import NUMERICAL_FAILURES, DegenerateInputError
 from superdir.swe import default_fit_grid
@@ -605,9 +608,8 @@ def test_estimate_enters_each_estimation_layer_exactly_once(tmp_path, capsys, mo
 
 
 def test_beamform_output_file_is_the_excitation_writer_bytes(tmp_path, capsys):
-    from superdir import ArrayGeometry, CouplingMatrix, ElementPattern
+    from superdir import SweepSpec
     from superdir.fileio import write_excitation
-    from superdir.radiation import SphereQuadrature
     from superdir.sweep import evaluate_point
 
     target = tmp_path / "b.csv"
@@ -615,11 +617,9 @@ def test_beamform_output_file_is_the_excitation_writer_bytes(tmp_path, capsys):
                  "half-wave-dipole", "--theta0", "30", "--phi0", "40", "--efficiency", "0.8",
                  "--loading", "0.001", "--output", str(target)]) == 0
     assert capsys.readouterr().err == f"excitation written to {target}\n"
-    _, excitation = evaluate_point(
-        ArrayGeometry(3, 0.15), ElementPattern.half_wave_dipole(),
-        SphereQuadrature.gauss_legendre(64, 128), CouplingMatrix.identity(3),
-        np.radians(30.0), np.radians(40.0), 0.8, loading=0.001,
-    )
+    spec = SweepSpec(antennas=3, pattern_kind="half-wave-dipole", spacing_start=0.15,
+                     spacing_steps=1, theta0_deg=30.0, phi0_deg=40.0, efficiency=0.8)
+    _, excitation = evaluate_point(spec, loading=0.001)
     buffer = io.StringIO()
     write_excitation(buffer, excitation)
     assert target.read_bytes() == buffer.getvalue().encode()
@@ -638,6 +638,60 @@ def test_beamform_figures_are_the_one_point_sweep_row(coupling, capsys):
     for label, column in columns.items():
         line = next(line for line in out.splitlines() if line.startswith(label + " "))
         assert line.split()[1] == format(float(cells[column]), ".4g")
+
+
+POINT_FLAGS = ("--pattern", "--theta0", "--phi0", "--efficiency", "--coupling",
+               "--quadrature-theta", "--quadrature-phi", "--truncation")
+
+
+def _point_flag_actions(command):
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.option_strings[0]: a for a in commands.choices[command]._actions if a.option_strings}
+    return [actions[flag] for flag in POINT_FLAGS]
+
+
+def test_beamform_and_sweep_declare_the_same_point_flags():
+    def described(action):
+        return (action.option_strings, action.dest, action.type, action.choices, action.help,
+                action.metavar, action.default)
+
+    beamform, sweep = _point_flag_actions("beamform"), _point_flag_actions("sweep")
+    assert [described(a) for a in beamform] == [described(a) for a in sweep]
+    # each flag stores into its SweepSpec field and leaves the default to SweepSpec
+    fields = {field.name for field in dataclasses.fields(SweepSpec)}
+    assert all(a.dest in fields and a.default is None for a in beamform)
+
+
+@pytest.mark.parametrize("command", [["beamform", "--spacing", "0.1"],
+                                     ["sweep", "--spacing", "0.1:0.2:2"]], ids=["beamform", "sweep"])
+@pytest.mark.parametrize("flags, message", [
+    (["--theta0", "200"], "theta0_deg must lie in [0, 180]"),
+    (["--theta0", "nan"], "theta0_deg must lie in [0, 180]"),
+    (["--efficiency", "0"], "efficiency must lie in (0, 1]"),
+    (["--quadrature-theta", "0"], "quadrature_theta must be >= 1"),
+    (["--quadrature-phi", "0"], "quadrature_phi must be >= 1"),
+    (["--truncation", "-1"], "truncation must be >= 0"),
+    (["--truncation", "-1", "--coupling", "synthetic:gamma=0.3,beta=1.1"], "truncation must be >= 0"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
+def test_beamform_and_sweep_reject_a_bad_point_flag_alike(command, flags, message, capsys):
+    assert main([*command, "--antennas", "2", *flags]) == 1
+    assert capsys.readouterr() == ("", f"superdir: error: {message}\n")
+
+
+def test_beamform_checks_its_point_flags_before_it_builds_z(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("Z was built")
+
+    monkeypatch.setattr(radiation, "_impedance_stack", fail)
+    assert main(["beamform", "--antennas", "2", "--spacing", "0.1", "--efficiency", "0"]) == 1
+    assert capsys.readouterr().err == "superdir: error: efficiency must lie in (0, 1]\n"
+
+
+def test_beamform_checks_the_loading_before_it_estimates_the_coupling(capsys):
+    assert main(["beamform", "--antennas", "2", "--spacing", "0.1", "--loading", "inf",
+                 "--coupling", "synthetic:gamma=2,beta=1"]) == 1
+    assert capsys.readouterr().err == "superdir: error: diagonal loading must be finite\n"
 
 
 def test_impedance_csv_is_the_impedance_writer_bytes(tmp_path, capsys):
@@ -661,7 +715,7 @@ def test_beamform_nan_theta_exits_one(capsys):
     assert main(["beamform", "--antennas", "2", "--spacing", "0.2", "--theta0", "nan"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "superdir: error: theta must lie in [0, pi]\n"
+    assert err == "superdir: error: theta0_deg must lie in [0, 180]\n"
 
 
 @pytest.mark.parametrize("flags, message", [

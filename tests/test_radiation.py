@@ -80,6 +80,14 @@ def test_every_caller_of_a_kind_shares_its_ring_weights():
     assert (info.misses, info.hits) == (1, 1)
 
 
+def test_the_named_constructors_share_the_ring_weights_of_their_kind():
+    radiation._ring_weights.cache_clear()
+    for _ in range(3):
+        impedance_matrix(ArrayGeometry(3, 0.2), ElementPattern.half_wave_dipole())
+    info = radiation._ring_weights.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_cached_inputs_hold_private_read_only_arrays():
     # ring weights are cached by pattern and quadrature identity, so the
     # arrays behind them must not change after construction
@@ -173,6 +181,7 @@ def test_certified_builds_evaluate_the_pattern_once_per_grid(monkeypatch):
 
     monkeypatch.setattr(ElementPattern, "evaluate", counting)
     pattern = ElementPattern.half_wave_dipole()
+    radiation._ring_weights.cache_clear()  # the pattern is shared, so start cold
     for spacing in (0.2, 0.3):
         impedance_matrix(ArrayGeometry(3, spacing), pattern, certified=True)
     assert sorted(shapes) == [(64, 128), (128, 256)]

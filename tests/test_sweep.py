@@ -1,7 +1,6 @@
 """Spacing sweeps: spec validation, coupling sources, ordering, determinism."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -311,10 +310,10 @@ def test_singular_coupling_file_flags_rows_instead_of_aborting(tmp_path):
 def test_each_numerical_failure_becomes_a_flagged_nan_row(failure, monkeypatch):
     beamform_point = sweep._beamform_point
 
-    def fail_past_a_quarter_wavelength(*args):
-        if args[-1] > 0.25:  # the point's spacing
+    def fail_past_a_quarter_wavelength(coupling_of, geometry, *rest):
+        if geometry.spacing > 0.25:
             raise failure("forced failure")
-        return beamform_point(*args)
+        return beamform_point(coupling_of, geometry, *rest)
 
     monkeypatch.setattr(sweep, "_beamform_point", fail_past_a_quarter_wavelength)
     rows = run_sweep(_small_sweep())
@@ -328,13 +327,10 @@ def test_an_imaginary_residue_flags_only_its_own_spacing(monkeypatch):
     # default-quadrature residues of these spacings run from about 4e-17 to 1.1e-16
     monkeypatch.setattr(radiation, "_IMAG_RESIDUE_TOL", 7e-17)
     spec = _small_sweep(antennas=3, spacing_steps=12, pattern_kind="hertzian-dipole")
-    pattern = ElementPattern.from_kind(spec.pattern_kind)
-    quadrature = SphereQuadrature.gauss_legendre(spec.quadrature_theta, spec.quadrature_phi)
     expected = []
     for spacing in spec.spacings:
         try:
-            evaluate_point(ArrayGeometry(3, float(spacing)), pattern, quadrature,
-                           CouplingMatrix.identity(3), 0.0, 0.0, spec.efficiency)
+            evaluate_point(dataclasses.replace(spec, spacing_start=float(spacing), spacing_steps=1))
             expected.append("")
         except AccuracyError as exc:
             expected.append(str(exc))
@@ -371,16 +367,11 @@ def test_sweep_rows_are_evaluate_point_bit_for_bit(source, tmp_path):
         source = f"file:{path}"
     spec = _small_sweep(antennas=3, pattern_kind="hertzian-dipole", theta0_deg=35.0,
                         phi0_deg=70.0, efficiency=0.85, coupling_source=source, truncation=9)
-    pattern = ElementPattern.from_kind(spec.pattern_kind)
-    quadrature = SphereQuadrature.gauss_legendre(spec.quadrature_theta, spec.quadrature_phi)
     rows = run_sweep(spec)
     assert len(rows) == spec.spacing_steps
     for row, spacing in zip(rows, spec.spacings):
-        geometry = ArrayGeometry(spec.antennas, float(spacing))
-        coupling = parse_coupling_source(spec.coupling_source, spec.antennas, geometry=geometry,
-                                         pattern=pattern, truncation=spec.truncation)
-        expected, excitation = evaluate_point(geometry, pattern, quadrature, coupling,
-                                              math.radians(35.0), math.radians(70.0), 0.85)
+        one_step = dataclasses.replace(spec, spacing_start=float(spacing), spacing_steps=1)
+        expected, excitation = evaluate_point(one_step)
         assert row.note == ""
         assert np.array(dataclasses.astuple(row)[:6]).tobytes() == np.array(
             dataclasses.astuple(expected)[:6]).tobytes()
