@@ -226,16 +226,15 @@ def test_polarized_components_carry_the_pattern_magnitude():
         )
 
 
-NAMED_CONSTRUCTORS = [
+@pytest.mark.parametrize("kind, constructor", [
     ("isotropic", ElementPattern.isotropic),
     ("hertzian-dipole", ElementPattern.hertzian_dipole),
     ("half-wave-dipole", ElementPattern.half_wave_dipole),
-]
-
-
-@pytest.mark.parametrize("kind, constructor", NAMED_CONSTRUCTORS)
+])
 def test_from_kind_is_the_named_constructor_bit_for_bit(kind, constructor):
-    built, named = ElementPattern.from_kind(kind), constructor()
+    # the constructors return the from_kind pattern, so compare it with a fresh build
+    built, named = constructor(), ElementPattern(kind=kind)
+    assert built is ElementPattern.from_kind(kind)
     assert built.kind == named.kind == kind
     if named.axis is None:
         assert built.axis is None
@@ -254,11 +253,6 @@ def test_from_kind_is_the_named_constructor_bit_for_bit(kind, constructor):
 @pytest.mark.parametrize("kind", arraymodel.ANALYTIC_KINDS)
 def test_from_kind_shares_one_pattern_per_kind(kind):
     assert ElementPattern.from_kind(kind) is ElementPattern.from_kind(kind)
-
-
-@pytest.mark.parametrize("kind, constructor", NAMED_CONSTRUCTORS)
-def test_the_named_constructors_return_the_shared_pattern_of_their_kind(kind, constructor):
-    assert constructor() is ElementPattern.from_kind(kind)
 
 
 def test_a_dipole_along_another_axis_is_a_pattern_of_its_own():
